@@ -13,11 +13,10 @@
 //! image), the modeled read time, and measured wall throughput.
 //!
 //! Part 2 (rank pipeline): N flat-stored rank images are fetched,
-//! decoded and restored serially vs on an engine-style worker pool
-//! (cursor claim, rank-ordered merge) — the same shape
-//! `ManaConfig::restart_workers` drives inside the restart engine —
-//! asserting restored checksums are identical and (on ≥2 CPUs) that the
-//! pipelined restore beats serial by ≥1.5×.
+//! decoded and restored serially vs on `mana_sim::pool::ordered_par_map`
+//! — the pool `ManaConfig::restart_workers` drives inside the restart
+//! engine — asserting restored checksums are identical and (on ≥2 CPUs)
+//! that the pipelined restore beats serial by ≥1.5×.
 //!
 //! Every run writes the machine-readable `BENCH_restart_path.json`.
 //! Run with `--test` for the CI smoke configuration.
@@ -28,11 +27,12 @@ use mana_core::image::CheckpointImage;
 use mana_core::{CheckpointStore, FsStore, InMemStore};
 use mana_sim::fs::{FsConfig, IoShape};
 use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
+use mana_sim::pool::ordered_par_map;
 use mana_sim::rng::splitmix64;
 use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes};
 use mana_store::{CasConfig, CasStore, DeltaConfig, DeltaStore};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -185,8 +185,8 @@ fn rank_wire(rank: u32, nranks: u32, pages: u64) -> Vec<u8> {
 }
 
 /// Fetch+decode+restore every rank and return the per-rank restored
-/// checksums in rank order — serially when `workers <= 1`, else on an
-/// engine-style worker pool (atomic cursor, rank-ordered merge).
+/// checksums in rank order, on the same ordered pool the restart engine
+/// fetches on (serial when `workers <= 1`).
 fn restore_ranks(store: &FsStore, nranks: u32, workers: usize) -> Vec<u64> {
     let one = |rank: u32| -> u64 {
         let path = format!("fig-restart-path/pipe/ckpt_2/rank_{rank}.mana");
@@ -198,27 +198,17 @@ fn restore_ranks(store: &FsStore, nranks: u32, workers: usize) -> Vec<u64> {
         }
         b.checksum_half(Half::Upper)
     };
-    if workers <= 1 {
-        return (0..nranks).map(one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let sums: Mutex<Vec<Option<u64>>> = Mutex::new(vec![None; nranks as usize]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(nranks as usize) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= nranks as usize {
-                    break;
-                }
-                let sum = one(idx as u32);
-                sums.lock()[idx] = Some(sum);
-            });
-        }
-    });
-    sums.into_inner()
-        .into_iter()
-        .map(|s| s.expect("every rank restored"))
-        .collect()
+    let mut sums = Vec::with_capacity(nranks as usize);
+    ordered_par_map(
+        workers,
+        0..nranks,
+        |_, rank| one(rank),
+        |_, sum| {
+            sums.push(sum);
+            ControlFlow::<Infallible>::Continue(())
+        },
+    );
+    sums
 }
 
 struct PipelineResult {

@@ -27,14 +27,12 @@ use crate::plan::{ChaosPlan, WorldShape};
 use mana_apps::{make_app_small, AppKind};
 use mana_core::chaos::{ChaosHandle, CrashRecord, DrainFault, FailoverRecord, RestartCrashRecord};
 use mana_core::config::TopologyKind;
-use mana_core::supervisor::{
-    DegradedMode, RecoveryReport as SupervisorReport, RestartSupervisor, RetryPolicy,
-};
+use mana_core::supervisor::{DegradedMode, RecoveryReport, RestartSupervisor, RetryPolicy};
 use mana_core::{CheckpointStore, InMemStore, JobBuilder, ManaSession, Workload};
 use mana_sim::cluster::ClusterSpec;
 use mana_sim::time::SimTime;
 use mana_store::{
-    DrainMode, HealReport, JournaledStore, QuarantinedObject, RecoveryReport, ReplicaConfig,
+    DrainMode, HealReport, JournalRecovery, JournaledStore, QuarantinedObject, ReplicaConfig,
     ReplicatedStore, TierConfig, TieredStore,
 };
 use parking_lot::Mutex;
@@ -125,7 +123,7 @@ fn heal_pass(stack: &StoreStack, replicas: usize, log: &Mutex<HealLog>) -> Vec<D
         log.drains_resumed.extend(rec.resumed);
         log.drains_quarantined.extend(rec.quarantined);
     }
-    let rec: RecoveryReport = stack.journal.recover();
+    let rec: JournalRecovery = stack.journal.recover();
     if !rec.quarantined.is_empty() {
         modes.push(DegradedMode::TornQuarantined {
             quarantined: rec.quarantined.len(),
@@ -291,7 +289,7 @@ impl ChaosHarness {
             heals: Vec::new(),
             quarantined: Vec::new(),
             images_scanned: 0,
-            supervisor: SupervisorReport::default(),
+            supervisor: RecoveryReport::default(),
             recovered: false,
             checksums_match: false,
             error: None,
@@ -478,7 +476,7 @@ pub struct ChaosReport {
     pub images_scanned: usize,
     /// The chain-wide supervisor's account: attempts, faults absorbed,
     /// images skipped, backoff downtime, degraded modes.
-    pub supervisor: SupervisorReport,
+    pub supervisor: RecoveryReport,
     /// Whether the chain reached a surviving incarnation.
     pub recovered: bool,
     /// Whether the surviving incarnation's final per-rank checksums

@@ -18,7 +18,9 @@
 //! Challenges I–III. This closes a liveness gap in the literal reading of
 //! Algorithm 2 (a rank stopped between the phases would deadlock a peer
 //! already inside a synchronizing collective) while preserving its
-//! invariant; DESIGN.md discusses the refinement.
+//! invariant. The `mana-model-check` crate explores every interleaving of
+//! small worlds under this rule, and shows that removing it breaks
+//! Theorem 1.
 //!
 //! # Quiescence
 //!

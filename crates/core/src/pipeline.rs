@@ -5,11 +5,11 @@
 //! green scheduler thread, so the *simulated* checkpoint overlap is
 //! modeled in virtual time. This module is the real-concurrency
 //! counterpart for harnesses that drain a batch of rank snapshots outside
-//! the simulation — the figure benches and property tests: a pool of OS
-//! worker threads builds and encodes rank images while the calling thread
-//! commits the ranks that finished earlier, so rank `r+1` snapshots while
-//! `r` encodes and `r−1` is being digested and written by the store
-//! stack.
+//! the simulation — the figure benches and property tests: OS worker
+//! threads of [`mana_sim::pool::ordered_par_map`] build and encode rank
+//! images while the calling thread commits the ranks that finished
+//! earlier, so rank `r+1` snapshots while `r` encodes and `r−1` is being
+//! digested and written by the store stack.
 //!
 //! Determinism: worker scheduling decides only *which thread* builds a
 //! rank. Every built image is committed to the store strictly in
@@ -30,10 +30,10 @@ use crate::image::{CheckpointImage, ImageBytes};
 use crate::stats::RankCkptStats;
 use crate::store::CheckpointStore;
 use mana_sim::fs::IoShape;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use mana_sim::pool::ordered_par_map;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// One rank's checkpoint work: where the encoded image goes and how to
 /// build it.
@@ -71,9 +71,8 @@ impl From<CheckpointImage> for BuiltRank {
     }
 }
 
-/// A built-and-encoded rank waiting for its in-order commit slot.
+/// A built-and-encoded rank waiting for its in-order commit.
 struct Cooked {
-    idx: usize,
     rank: u32,
     path: String,
     shape: IoShape,
@@ -85,7 +84,7 @@ struct Cooked {
 
 /// The worker-side stages: build the image, then encode it as a shared
 /// scatter with the decoded image attached.
-fn cook<B: FnOnce() -> BuiltRank>(idx: usize, job: RankJob<B>) -> Cooked {
+fn cook<B: FnOnce() -> BuiltRank>(job: RankJob<B>) -> Cooked {
     let RankJob {
         rank,
         path,
@@ -98,7 +97,6 @@ fn cook<B: FnOnce() -> BuiltRank>(idx: usize, job: RankJob<B>) -> Cooked {
     let logical = image.logical_bytes();
     let dense = image.dense_bytes();
     Cooked {
-        idx,
         rank,
         path,
         shape,
@@ -130,13 +128,11 @@ fn commit<S: CheckpointStore + ?Sized>(store: &S, cooked: Cooked) -> RankCkptSta
 /// order. Returns one [`RankCkptStats`] per job, in job order, with
 /// `write` set to the store's virtual put duration.
 ///
-/// `workers <= 1` (or a batch of one) runs everything on the calling
-/// thread: build → encode → put per rank, in order. `workers > 1` spawns
-/// that many scoped worker threads which claim jobs by ascending index,
-/// build and encode them, and hand the encoded images to the calling
-/// thread; it holds out-of-order completions in a reorder buffer and
-/// commits each rank only after all lower-indexed ranks committed. Both
-/// paths store identical bytes and return identical stats.
+/// Runs on [`ordered_par_map`]: `cook` (build + encode) on the workers,
+/// `commit` (put + stats) on the calling thread in job order.
+/// `workers <= 1` (or a batch of one) runs build → encode → put per rank
+/// on the calling thread. Both paths store identical bytes and return
+/// identical stats.
 pub fn checkpoint_ranks<S, B>(
     store: &S,
     workers: usize,
@@ -146,57 +142,17 @@ where
     S: CheckpointStore + ?Sized,
     B: FnOnce() -> BuiltRank + Send,
 {
-    let njobs = jobs.len();
-    if workers <= 1 || njobs < 2 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, job)| commit(store, cook(idx, job)))
-            .collect();
-    }
-
-    // Job slots any worker can claim; the atomic cursor hands out indices
-    // in ascending order so the reorder buffer stays small (at most one
-    // in-flight rank per worker ahead of the commit cursor).
-    let slots: Vec<Mutex<Option<RankJob<B>>>> =
-        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Cooked>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(njobs) {
-            let tx = tx.clone();
-            let slots = &slots;
-            let next = &next;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= njobs {
-                    break;
-                }
-                let job = slots[idx].lock().take().expect("job claimed twice");
-                if tx.send(cook(idx, job)).is_err() {
-                    break; // committer gone (panic unwinding)
-                }
-            });
-        }
-        drop(tx);
-
-        let mut pending: BTreeMap<usize, Cooked> = BTreeMap::new();
-        let mut out = Vec::with_capacity(njobs);
-        let mut cursor = 0;
-        while cursor < njobs {
-            while let Some(cooked) = pending.remove(&cursor) {
-                out.push(commit(store, cooked));
-                cursor += 1;
-            }
-            if cursor == njobs {
-                break;
-            }
-            let cooked = rx.recv().expect("checkpoint worker died");
-            pending.insert(cooked.idx, cooked);
-        }
-        out
-    })
+    let mut out = Vec::with_capacity(jobs.len());
+    ordered_par_map(
+        workers,
+        jobs,
+        |_, job| cook(job),
+        |_, cooked| {
+            out.push(commit(store, cooked));
+            ControlFlow::<Infallible>::Continue(())
+        },
+    );
+    out
 }
 
 #[cfg(test)]

@@ -40,13 +40,14 @@ use mana_mpi::{CommHandle, GroupHandle, Mpi, MpiJob};
 use mana_net::transport::Network;
 use mana_sim::cluster::InterconnectKind;
 use mana_sim::memory::{AddressSpace, Half};
+use mana_sim::pool::ordered_par_map;
 use mana_sim::sched::{Sim, SimConfig, SimThread};
 use mana_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Panic payload used to abort a rank's simulated thread after a replay
 /// failure was recorded; silenced by the quiet panic hook (the scheduler
@@ -184,62 +185,29 @@ impl<'a> RestartEngine<'a> {
     /// durations are charged to each rank's clock inside the simulation.
     ///
     /// With `cfg.restart_workers > 1` the per-rank fetch+decode+validate
-    /// runs on that many OS worker threads (mirroring
-    /// [`crate::pipeline::checkpoint_ranks`]'s claim-by-ascending-index
-    /// pool); results merge back in rank order and the lowest failing
-    /// rank's error wins, so the returned images, stats and errors are
-    /// identical to the serial path.
+    /// runs on that many OS worker threads of
+    /// [`mana_sim::pool::ordered_par_map`]. Results arrive in rank order
+    /// and the first error ends the fetch, so the lowest failing rank's
+    /// error wins: the returned images, stats and errors are identical to
+    /// the serial path.
     fn fetch_images(&self) -> Result<Vec<FetchedImage>, RestartError> {
-        let spec = self.spec;
-        let nranks = spec.nranks as usize;
-        let workers = spec.cfg.restart_workers;
-        if workers <= 1 || nranks < 2 {
-            return (0..spec.nranks).map(|rank| self.fetch_rank(rank)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<FetchedImage, RestartError>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(nranks) {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= nranks {
-                        break;
-                    }
-                    let res = self.fetch_rank(idx as u32);
-                    let failed = res.is_err();
-                    if tx.send((idx, res)).is_err() || failed {
-                        // This worker saw a failure; stop claiming ranks.
-                        // The other workers drain the remaining indices,
-                        // so every rank below the *lowest* failure is
-                        // still fetched (serial-identical error choice).
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut slots: BTreeMap<usize, Result<FetchedImage, RestartError>> = BTreeMap::new();
-            for (idx, res) in rx {
-                slots.insert(idx, res);
-            }
-            // Rank-ordered merge: the first failure ascending is exactly
-            // the error the serial loop would have returned.
-            let mut images = Vec::with_capacity(nranks);
-            for idx in 0..nranks {
-                match slots.remove(&idx) {
-                    Some(Ok(f)) => images.push(f),
-                    Some(Err(e)) => return Err(e),
-                    // A rank can only go unfetched when every worker bailed
-                    // on an earlier failure — which the scan above returns
-                    // first.
-                    None => unreachable!("rank {idx} unfetched without a lower-rank error"),
+        let mut images = Vec::with_capacity(self.spec.nranks as usize);
+        let flow = ordered_par_map(
+            self.spec.cfg.restart_workers,
+            0..self.spec.nranks,
+            |_, rank| self.fetch_rank(rank),
+            |_, fetched| match fetched {
+                Ok(f) => {
+                    images.push(f);
+                    ControlFlow::Continue(())
                 }
-            }
-            Ok(images)
-        })
+                Err(e) => ControlFlow::Break(e),
+            },
+        );
+        match flow {
+            ControlFlow::Continue(()) => Ok(images),
+            ControlFlow::Break(e) => Err(e),
+        }
     }
 
     /// Run the pipeline and the restarted application to completion (or

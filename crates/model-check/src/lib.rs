@@ -27,8 +27,11 @@
 //!
 //! The coordinator's safety rule is parameterized so tests can *remove*
 //! it and watch the checker catch the resulting violation — evidence the
-//! checker has teeth, and that the rule (the liveness/safety refinement
-//! documented in DESIGN.md) is load-bearing.
+//! checker has teeth, and that the rule is load-bearing. The rule is the
+//! liveness/safety refinement of Algorithm 2: ranks are never stopped
+//! between the two phases (which could deadlock a peer already inside a
+//! synchronizing collective); instead the coordinator fires do-ckpt only
+//! when no phase-1 instance can complete (see `mana_core::cell`).
 
 #![warn(missing_docs)]
 

@@ -15,7 +15,10 @@
 //!   checkpoint written by one cluster can be restarted on another
 //!   ([`fs`]),
 //! * **cluster presets** for the paper's two machines ([`cluster`]), and
-//! * deterministic randomness and checksum helpers ([`rng`], [`checksum`]).
+//! * deterministic randomness and checksum helpers ([`rng`], [`checksum`]),
+//!   and
+//! * the one ordered worker pool the real-concurrency rank pipelines run
+//!   on ([`pool`]).
 //!
 //! Everything above this crate (network, MPI, MANA itself, the workloads)
 //! is built from these parts; nothing here knows what MPI is.
@@ -28,6 +31,7 @@ pub mod fs;
 pub mod kernel;
 pub mod memory;
 pub mod pod;
+pub mod pool;
 pub mod rng;
 pub mod scatter;
 pub mod sched;

@@ -69,7 +69,7 @@ pub struct QuarantinedObject {
 
 /// Result of a [`JournaledStore::recover`] scan.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
+pub struct JournalRecovery {
     /// Objects examined (quarantined objects from earlier scans excluded).
     pub scanned: usize,
     /// Objects that failed validation and were moved out of the way.
@@ -205,8 +205,8 @@ impl JournaledStore {
     /// envelope validation — a checkpoint is either fully durable or,
     /// after this scan, visibly gone. Run it at session open, before any
     /// restart probes the store. Committed objects are never moved.
-    pub fn recover(&self) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
+    pub fn recover(&self) -> JournalRecovery {
+        let mut report = JournalRecovery::default();
         for path in self.inner.list() {
             if path.starts_with(QUARANTINE_PREFIX) {
                 continue;

@@ -72,7 +72,7 @@ pub use cas::{CasConfig, CasStats, CasStore};
 pub use compress::{CompressingStore, CompressionConfig};
 pub use conformance::{exercise_store, StoreChecks};
 pub use delta::{DeltaConfig, DeltaStore};
-pub use journal::{JournaledStore, QuarantinedObject, RecoveryReport, QUARANTINE_PREFIX};
+pub use journal::{JournalRecovery, JournaledStore, QuarantinedObject, QUARANTINE_PREFIX};
 pub use mana_core::store::CheckpointStore;
 pub use replicated::{HealReport, ReplicaConfig, ReplicatedStore};
 pub use tiered::{DrainEntry, DrainMode, DrainRecovery, DrainState, TierConfig, TieredStore};
