@@ -6,7 +6,8 @@
 //! * `codec_*`: checkpoint-image encode/decode throughput;
 //! * `drain_buffer_*`: drained-message matching;
 //! * `event_queue`: discrete-event scheduler throughput (substrate);
-//! * `coll_cost`: collective cost-model evaluation.
+//! * `coll_cost`: collective cost-model evaluation;
+//! * `checksum_*`: the byte-path digest, flat and over a page rope.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
@@ -133,6 +134,17 @@ fn bench_checksum(c: &mut Criterion) {
     let data = vec![0xA5u8; 1 << 20];
     c.bench_function("checksum_1mb", |b| {
         b.iter(|| black_box(mana_sim::checksum::checksum_bytes(black_box(&data))))
+    });
+    // The same 1 MiB as 4 KiB shared pages behind a 20-byte owned header:
+    // every page starts mid-stripe, so each segment crosses the digest's
+    // tail buffer, the path a flat buffer never takes.
+    let mut rope = mana_sim::scatter::ScatterBuf::new();
+    rope.push_owned(vec![0x5A; 20]);
+    for page in data.chunks(4096) {
+        rope.push_shared(std::sync::Arc::from(page));
+    }
+    c.bench_function("checksum_scatter", |b| {
+        b.iter(|| black_box(black_box(&rope).checksum()))
     });
 }
 

@@ -26,7 +26,7 @@
 
 use crate::shared::{RankShared, SlotState};
 use mana_mpi::{BaseType, CommHandle, Mpi, Msg, ReduceOp, ReqHandle, SrcSpec, Status, TagSpec};
-use mana_sim::checksum::Checksum;
+use mana_sim::checksum::checksum_f64s;
 use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind};
 use mana_sim::pod::Pod;
 use mana_sim::sched::SimThread;
@@ -876,12 +876,6 @@ impl AppEnv {
     /// Checksum helper usable from workloads for their own validation
     /// arrays.
     pub fn checksum_arr(&self, arr: Arr<f64>) -> u64 {
-        self.peek(arr, |s| {
-            let mut c = Checksum::new();
-            for v in s {
-                c.update_f64(*v);
-            }
-            c.digest()
-        })
+        self.peek(arr, checksum_f64s)
     }
 }

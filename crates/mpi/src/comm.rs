@@ -209,7 +209,9 @@ impl CommRegistry {
     }
 }
 
-/// FNV-1a hash of a member list (for [`DeriveKey::Create`]).
+/// FNV-1a hash of a member list (for [`DeriveKey::Create`]). Stays FNV-1a
+/// on purpose: the hash labels communicators of the simulated machine, so
+/// changing it would move every sim-time result.
 pub fn members_hash(members: &[Rank]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for m in members {

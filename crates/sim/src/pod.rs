@@ -79,6 +79,13 @@ pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
     unsafe { std::slice::from_raw_parts((v as *const T).cast::<u8>(), std::mem::size_of::<T>()) }
 }
 
+/// View a slice's bytes (little-endian in-memory representation).
+pub fn slice_bytes<T: Pod>(s: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` has no padding, so all bytes are initialized, and
+    // `u8` has alignment 1.
+    unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,6 +25,10 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Labels are small structured identifiers ("rank 7", "straggler", ...)
 /// hashed with FNV-1a and mixed, so unrelated subsystems never share
 /// correlated streams.
+///
+/// Stays FNV-1a on purpose, not [`crate::checksum`]: these short labels
+/// seed the simulated machine, so changing the hash would move every
+/// sim-time result.
 pub fn derive_seed(parent: u64, label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.as_bytes() {

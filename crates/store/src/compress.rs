@@ -94,16 +94,10 @@ impl<S: CheckpointStore> CompressingStore<S> {
     }
 
     /// Deterministic per-object ratio: seeded by the store seed, the
-    /// object's content bytes and its logical length. Hashes the scatter
+    /// object's content bytes and its logical length. Digests the scatter
     /// segments in place — same byte sequence, no flatten.
     fn ratio_for(&self, data: &ImageBytes, logical_len: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for seg in data.scatter().segments() {
-            for b in seg {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let h = data.scatter().checksum();
         let u = splitmix64(self.cfg.seed ^ h ^ splitmix64(logical_len));
         let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let r = self.cfg.ratio * (1.0 + self.cfg.jitter * (2.0 * x - 1.0));

@@ -44,7 +44,8 @@ use std::collections::BTreeMap;
 const MAGIC: u64 = u64::from_le_bytes(*b"MANAJNL1");
 /// `"COMMITED"` — the commit record, written (and validated) last.
 const COMMIT: u64 = u64::from_le_bytes(*b"COMMITED");
-const VERSION: u32 = 1;
+/// Version 2: the payload checksum is XXH64 (v1 envelopes carried FNV-1a).
+const VERSION: u32 = 2;
 const HEADER: usize = 8 + 4 + 8;
 const TRAILER: usize = 8 + 8;
 
@@ -372,6 +373,31 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         assert!(!j.exists("p"));
+    }
+
+    #[test]
+    fn v1_envelope_is_typed_corrupt_and_quarantined() {
+        let inner = Arc::new(InMemStore::new());
+        let j = JournaledStore::new(inner.clone());
+        j.put("ck/ckpt_1/rank_0.mana", vec![3u8; 80].into(), 80, 0, SHAPE);
+        // Re-frame the committed envelope as version 1, leaving it
+        // otherwise whole.
+        let (env, _) = inner.get("ck/ckpt_1/rank_0.mana", 0, SHAPE).unwrap();
+        let mut v1 = env.to_vec();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        inner.put("ck/ckpt_1/rank_0.mana", v1.into(), 80, 0, SHAPE);
+
+        match j.get("ck/ckpt_1/rank_0.mana", 0, SHAPE) {
+            Err(StoreError::Corrupt { why, .. }) => {
+                assert!(why.contains("version 1"), "{why}")
+            }
+            other => panic!("v1 envelope must be typed Corrupt, got {other:?}"),
+        }
+        let report = j.recover();
+        assert_eq!(report.quarantined.len(), 1);
+        assert!(report.quarantined[0].why.contains("version 1"));
+        assert!(inner.exists(".quarantine/ck/ckpt_1/rank_0.mana"));
+        assert!(!j.exists("ck/ckpt_1/rank_0.mana"));
     }
 
     #[test]
