@@ -7,7 +7,9 @@
 //! * `drain_buffer_*`: drained-message matching;
 //! * `event_queue`: discrete-event scheduler throughput (substrate);
 //! * `coll_cost`: collective cost-model evaluation;
-//! * `checksum_*`: the byte-path digest, flat and over a page rope.
+//! * `checksum_*`: the byte-path digest, flat and over a page rope;
+//! * `content_key_32mb_cached`: a 32 MiB image's content key when its
+//!   pages already carry their digests.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
@@ -141,10 +143,19 @@ fn bench_checksum(c: &mut Criterion) {
     let mut rope = mana_sim::scatter::ScatterBuf::new();
     rope.push_owned(vec![0x5A; 20]);
     for page in data.chunks(4096) {
-        rope.push_shared(std::sync::Arc::from(page));
+        rope.push_shared(mana_sim::page::Page::new(page));
     }
     c.bench_function("checksum_scatter", |b| {
         b.iter(|| black_box(black_box(&rope).checksum()))
+    });
+    // A 32 MiB image as the checkpoint path hands it to the stores: the
+    // pages were digested once (by an earlier put), so the content key
+    // costs O(pages), not O(bytes).
+    let image = std::sync::Arc::new(sample_image(32 << 10));
+    let wire = CheckpointImage::encode_shared(&image);
+    wire.scatter().content_key();
+    c.bench_function("content_key_32mb_cached", |b| {
+        b.iter(|| black_box(black_box(wire.scatter()).content_key()))
     });
 }
 

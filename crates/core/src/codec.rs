@@ -83,7 +83,7 @@ pub trait Sink {
     /// Write a dense snapshot's content bytes (its pages, concatenated)
     /// with no framing — the caller has already written the length. The
     /// default streams each page through [`Sink::raw`]; scatter sinks
-    /// override this to capture the frozen `Arc` page handles without
+    /// override this to capture the frozen page handles without
     /// copying a byte, which is the entire zero-copy image path.
     fn dense_pages(&mut self, snap: &DenseSnap) {
         for p in snap.pages() {
@@ -397,7 +397,7 @@ impl Dec {
 /// either by a contiguous buffer ([`Dec`]) or by a scatter of segments
 /// ([`ScatterDec`]). Decoders written against `Src` run unchanged on
 /// both; the scatter source additionally recovers dense payloads as
-/// shared `Arc` page handles instead of copying them — the read-side
+/// shared page handles instead of copying them — the read-side
 /// twin of [`Sink::dense_pages`].
 pub trait Src {
     /// Read a `u8`.
@@ -573,7 +573,7 @@ impl Src for ScatterDec<'_> {
         // Fast path: the cursor sits at a segment boundary and the next
         // segments are exactly the payload's canonical page chunking as
         // shared handles — the ScatterEnc layout, preserved by stores
-        // that kept the scatter intact. Recover the Arc handles.
+        // that kept the scatter intact. Recover the page handles.
         if self.off == 0 {
             let npages = pages_of_len(len);
             let mut pages = Vec::with_capacity(npages);

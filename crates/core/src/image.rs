@@ -271,7 +271,7 @@ impl CheckpointImage {
             "unknown image version {version}"
         );
         let mut e = ScatterEnc::new();
-        self.encode_into(&mut e, version);
+        self.encode_into(&mut e, version, &self.regions);
         debug_assert_eq!(e.len(), self.encoded_len(version));
         e.finish()
     }
@@ -293,7 +293,7 @@ impl CheckpointImage {
         );
         let len = self.encoded_len(version);
         let mut e = Enc::with_capacity(len);
-        self.encode_into(&mut e, version);
+        self.encode_into(&mut e, version, &self.regions);
         debug_assert_eq!(e.len(), len, "measuring pass disagrees with writer");
         debug_assert_eq!(e.capacity(), len, "encode reallocated");
         e.finish()
@@ -302,11 +302,22 @@ impl CheckpointImage {
     /// Exact byte length `encode_with_version(version)` will produce.
     pub fn encoded_len(&self, version: u32) -> usize {
         let mut m = MeasureEnc::new();
-        self.encode_into(&mut m, version);
+        self.encode_into(&mut m, version, &self.regions);
         m.len()
     }
 
-    fn encode_into<S: Sink>(&self, e: &mut S, version: u32) {
+    /// The current-format encoding of this image with its regions left
+    /// out — the same bytes as encoding a copy whose `regions` is empty,
+    /// without cloning the regions first. Stores that keep region data
+    /// their own way (deltas) frame the rest of the image with this.
+    pub fn encode_meta(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.encode_into(&mut e, VERSION, &[]);
+        e.finish()
+    }
+
+    /// Write the image with `regions` in place of `self.regions`.
+    fn encode_into<S: Sink>(&self, e: &mut S, version: u32, regions: &[RegionSnapshot]) {
         e.u64(MAGIC);
         e.u32(version);
         e.u32(self.rank);
@@ -317,8 +328,8 @@ impl CheckpointImage {
         e.u64(self.upper_cursor);
         e.u64(self.ops_done);
 
-        e.seq(self.regions.len());
-        for r in &self.regions {
+        e.seq(regions.len());
+        for r in regions {
             enc_region(e, r);
         }
         e.seq(self.comms.len());
@@ -430,10 +441,10 @@ impl CheckpointImage {
     }
 
     /// Deserialize straight from a scatter, recovering dense region pages
-    /// as the stored `Arc` handles — the read-side twin of
+    /// as the stored page handles — the read-side twin of
     /// [`CheckpointImage::encode_shared`]. When the producer attached the
     /// decoded image, the wire decode is skipped entirely (the clone is
-    /// cheap: region ropes are `Arc` pages). Returns the image plus the
+    /// cheap: region ropes are shared pages). Returns the image plus the
     /// copy accounting for [`crate::stats::RankRestartStats`].
     pub fn decode_shared(bytes: &ImageBytes) -> Result<(CheckpointImage, DecodeStats), CodecError> {
         if let Some(img) = bytes.image() {
@@ -784,7 +795,7 @@ fn dec_op(tag: u32) -> Result<ReduceOp, CodecError> {
 /// Encode one region snapshot. Shared with derived image formats (the
 /// delta-image codec in `mana-store` embeds region snapshots). Dense
 /// content is written page-by-page straight from the snapshot's frozen
-/// `Arc` pages — byte-identical to the historical contiguous layout, with
+/// shared pages — byte-identical to the historical contiguous layout, with
 /// no intermediate materialization.
 pub fn encode_region<S: Sink>(e: &mut S, r: &RegionSnapshot) {
     enc_region(e, r)
@@ -823,7 +834,7 @@ fn dec_region<S: Src>(d: &mut S) -> Result<RegionSnapshot, CodecError> {
     let content = match d.u32("region content")? {
         // The source chooses the cheapest materialization: a flat decoder
         // chunks its buffer into frozen pages (one copy), a scatter
-        // decoder recovers the stored `Arc` pages outright (zero copies).
+        // decoder recovers the stored pages outright (zero copies).
         0 => SnapshotContent::Dense(d.dense("region dense")?),
         1 => SnapshotContent::Pattern {
             seed: d.u64("region pattern")?,
@@ -1328,6 +1339,17 @@ mod tests {
         let bytes = img.encode().to_vec();
         let back = CheckpointImage::decode(&bytes).expect("decode");
         assert_eq!(img, back);
+    }
+
+    #[test]
+    fn encode_meta_is_the_region_less_encoding() {
+        let img = sample();
+        assert!(!img.regions.is_empty());
+        let meta = CheckpointImage {
+            regions: Vec::new(),
+            ..img.clone()
+        };
+        assert_eq!(img.encode_meta(), meta.encode().to_vec());
     }
 
     #[test]

@@ -202,9 +202,9 @@ pub fn checksum_f64s(vals: &[f64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Page;
     use crate::scatter::ScatterBuf;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     #[test]
     fn deterministic_and_sensitive() {
@@ -257,22 +257,26 @@ mod tests {
             cuts.sort_unstable();
             let mut c = Checksum::new();
             let mut scatter = ScatterBuf::new();
+            let mut owned = ScatterBuf::new();
             let mut at = 0;
             for (i, &cut) in cuts.iter().chain([&data.len()]).enumerate() {
                 // Repeated cuts give empty segments; alternate owned and
                 // shared segments like an image rope.
                 let seg = &data[at..cut];
                 c.update(seg);
+                owned.push_owned(seg.to_vec());
                 if i % 2 == 0 {
                     scatter.push_owned(seg.to_vec());
                 } else {
-                    scatter.push_shared(Arc::from(seg));
+                    scatter.push_shared(Page::new(seg));
                 }
                 at = cut;
             }
             let flat = checksum_bytes(&data);
             prop_assert_eq!(c.digest(), flat);
             prop_assert_eq!(scatter.checksum(), flat);
+            // With no shared page the content key is the checksum.
+            prop_assert_eq!(owned.content_key(), flat);
         }
     }
 

@@ -9,6 +9,8 @@
 //!   coordinator) run as ordinary imperative Rust ([`sched`]),
 //! * **per-rank address spaces** whose regions are tagged with the
 //!   split-process half that owns them ([`memory`]),
+//! * **frozen pages** shared by snapshots, scatter buffers and stores,
+//!   each digested at most once in its life ([`page`]),
 //! * a **kernel cost model** capturing the FS-register overhead that
 //!   dominates MANA's runtime cost ([`kernel`]),
 //! * a **Lustre-like parallel filesystem** shared across simulations, so a
@@ -30,6 +32,7 @@ pub mod cluster;
 pub mod fs;
 pub mod kernel;
 pub mod memory;
+pub mod page;
 pub mod pod;
 pub mod pool;
 pub mod rng;
@@ -44,6 +47,7 @@ pub use memory::{
     AddressSpace, Backing, DenseBuf, DenseSnap, Half, HalfSnapshot, MemError, Region, RegionDirty,
     RegionKind, RegionMeta, RegionSnapshot, SnapshotContent, SnapshotStats,
 };
+pub use page::Page;
 pub use scatter::{ScatterBuf, Segment};
 pub use sched::{Sim, SimConfig, SimThread, SimThreadId};
 pub use time::{SimDuration, SimTime};

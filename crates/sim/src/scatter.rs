@@ -1,13 +1,14 @@
 //! Scatter byte buffers: iovec-style views over shared page ropes.
 //!
-//! The checkpoint data path produces images whose bulk is `Arc`-per-page
+//! The checkpoint data path produces images whose bulk is [`Page`]
 //! rope chunks shared with the live [`crate::memory::AddressSpace`] (the
 //! copy-on-write snapshot). [`ScatterBuf`] lets those bytes travel from
 //! the encoder through every storage tier *without ever being flattened
 //! into a contiguous `Vec<u8>`*: a buffer is an ordered list of segments,
 //! each either a small owned metadata run or a shared rope page. A clean
 //! page therefore crosses the whole store seam as one `Arc` clone — zero
-//! memcpys between address space and store tier.
+//! memcpys between address space and store tier — and brings its cached
+//! digest along, which [`ScatterBuf::content_key`] reuses.
 //!
 //! Flattening still exists for consumers that genuinely need contiguous
 //! bytes (the restart decode path, journal envelope validation); every
@@ -16,17 +17,17 @@
 //! performs none.
 
 use crate::checksum::Checksum;
+use crate::page::Page;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One segment of a [`ScatterBuf`].
 #[derive(Clone)]
 pub enum Segment {
     /// Small owned bytes (image metadata, framing headers).
     Owned(Vec<u8>),
-    /// A shared rope page — typically an `Arc` chunk of a
+    /// A shared rope page — typically a chunk of a
     /// [`crate::memory::DenseSnap`], alive without copying.
-    Shared(Arc<[u8]>),
+    Shared(Page),
 }
 
 impl Segment {
@@ -39,8 +40,8 @@ impl Segment {
     }
 
     /// The shared page handle behind this segment, when it is shared —
-    /// how scatter-aware decoders recover `Arc` pages without copying.
-    pub fn shared_handle(&self) -> Option<&Arc<[u8]>> {
+    /// how scatter-aware decoders recover pages without copying.
+    pub fn shared_handle(&self) -> Option<&Page> {
         match self {
             Segment::Shared(p) => Some(p),
             Segment::Owned(_) => None,
@@ -106,7 +107,7 @@ impl ScatterBuf {
 
     /// Append a shared page handle without copying it (empty pages are
     /// dropped).
-    pub fn push_shared(&mut self, page: Arc<[u8]>) {
+    pub fn push_shared(&mut self, page: Page) {
         if !page.is_empty() {
             self.len += page.len();
             self.segments.push(Segment::Shared(page));
@@ -260,6 +261,24 @@ impl ScatterBuf {
         }
         c.digest()
     }
+
+    /// A content key in one pass over the owned bytes and O(1) per shared
+    /// page: a streaming XXH64 in which owned segments feed their bytes
+    /// and each shared page feeds its cached [`Page::digest`] (computed
+    /// here only if no holder of the page ever has). Equal to
+    /// [`ScatterBuf::checksum`] when no segment is shared; otherwise a
+    /// different but equally deterministic function of the content and
+    /// its page layout.
+    pub fn content_key(&self) -> u64 {
+        let mut c = Checksum::new();
+        for s in &self.segments {
+            match s {
+                Segment::Owned(v) => c.update(v),
+                Segment::Shared(p) => c.update_u64(p.digest()),
+            }
+        }
+        c.digest()
+    }
 }
 
 impl From<Vec<u8>> for ScatterBuf {
@@ -305,8 +324,8 @@ mod tests {
     use super::*;
     use crate::checksum::checksum_bytes;
 
-    fn shared(bytes: &[u8]) -> Arc<[u8]> {
-        Arc::from(bytes)
+    fn shared(bytes: &[u8]) -> Page {
+        Page::new(bytes)
     }
 
     #[test]
@@ -369,8 +388,28 @@ mod tests {
     }
 
     #[test]
+    fn content_key_feeds_shared_pages_by_digest() {
+        let page = shared(&[4; 4096]);
+        let mut b = ScatterBuf::new();
+        b.push_owned(vec![1, 2, 3]);
+        b.push_shared(page.clone());
+        assert_eq!(page.cached_digest(), None);
+        let key = b.content_key();
+        assert_eq!(page.cached_digest(), Some(checksum_bytes(&[4; 4096])));
+        let mut c = Checksum::new();
+        c.update(&[1, 2, 3]);
+        c.update_u64(page.digest());
+        assert_eq!(key, c.digest());
+        // All-owned: the key is the checksum.
+        let mut owned = ScatterBuf::from_vec(vec![1, 2, 3]);
+        owned.push_owned(vec![4; 4096]);
+        assert_eq!(owned.content_key(), owned.checksum());
+        assert_ne!(owned.content_key(), key, "shared pages key by digest");
+    }
+
+    #[test]
     fn slice_keeps_interior_segments_shared() {
-        let page: Arc<[u8]> = shared(&[7; 4096]);
+        let page = shared(&[7; 4096]);
         let mut b = ScatterBuf::new();
         b.push_owned(vec![1; 20]); // "header"
         b.push_shared(page.clone());
@@ -381,7 +420,7 @@ mod tests {
         assert_eq!(payload.len(), 4096);
         assert_eq!(payload.shared_len(), 4096);
         match payload.raw_segments() {
-            [Segment::Shared(p)] => assert!(Arc::ptr_eq(p, &page)),
+            [Segment::Shared(p)] => assert!(Page::ptr_eq(p, &page)),
             other => panic!("expected one shared segment, got {}", other.len()),
         }
 
@@ -399,13 +438,13 @@ mod tests {
 
     #[test]
     fn shared_handles_are_recoverable_from_segments() {
-        let page: Arc<[u8]> = shared(&[9; 64]);
+        let page = shared(&[9; 64]);
         let mut b = ScatterBuf::new();
         b.push_owned(vec![1, 2]);
         b.push_shared(page.clone());
         let segs = b.raw_segments();
         assert!(segs[0].shared_handle().is_none());
-        assert!(Arc::ptr_eq(segs[1].shared_handle().unwrap(), &page));
+        assert!(Page::ptr_eq(segs[1].shared_handle().unwrap(), &page));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! (hashing is not free, even when everything dedups). `get` charges the
 //! manifest read plus page-pool fetch time for the image's dense bytes.
 //! Reassembly is zero-copy: regions are rebuilt from the pool's shared
-//! `Arc` pages via [`DenseSnap::from_pages`].
+//! [`Page`]s via [`DenseSnap::from_pages`], cached digests included.
 //!
 //! Non-image objects pass through unmodified.
 
@@ -38,6 +38,7 @@ use mana_core::store::CheckpointStore;
 use mana_sim::checksum::Checksum;
 use mana_sim::fs::IoShape;
 use mana_sim::memory::{DenseSnap, RegionSnapshot, SnapshotContent};
+use mana_sim::page::Page;
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -88,7 +89,7 @@ fn page_key(page: &[u8]) -> PageKey {
 /// One pooled page: the shared bytes and how many stored images
 /// reference it.
 struct PoolEntry {
-    data: Arc<[u8]>,
+    data: Page,
     refs: u64,
 }
 
@@ -471,7 +472,7 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         img.regions = regions;
         let fetch = SimDuration::secs_f64(dense_bytes as f64 / self.cfg.read_bw);
         // Reassembly stays zero-copy on the way out too: the wire scatter
-        // shares the pool's `Arc` pages and the decoded image rides along,
+        // shares the pool's pages and the decoded image rides along,
         // so decode_shared callers skip the wire decode entirely.
         Ok((CheckpointImage::encode_shared(&Arc::new(img)), dur + fetch))
     }

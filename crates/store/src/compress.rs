@@ -9,12 +9,21 @@
 //! (compression is modeled, not performed), so images decode exactly as
 //! written.
 //!
+//! The ratio is seeded from
+//! [`ScatterBuf::content_key`](mana_sim::scatter::ScatterBuf::content_key):
+//! owned metadata bytes are digested, but each shared rope page
+//! contributes its cached page digest, so drawing the ratio costs
+//! O(pages never digested before), not O(image bytes). A clean page
+//! shared with an earlier generation was digested then, by this store or
+//! any other layer, and is not read again.
+//!
 //! The put path is *dirty-aware*: when the object is a rank image
 //! carrying format-v3 dirty summaries, compress CPU is charged only for
 //! the pages the summaries mark dirty (plus everything not covered by a
 //! summary) — modeling an incremental compressor that reuses the
-//! previous generation's compressed form for unchanged pages. The
-//! charged write volume is unchanged (every page is still stored).
+//! previous generation's compressed form for unchanged pages. Only the
+//! summaries' dirty bits are read, never their epoch stamps. The charged
+//! write volume is unchanged (every page is still stored).
 
 use mana_core::error::StoreError;
 use mana_core::image::{CheckpointImage, ImageBytes};
@@ -94,10 +103,10 @@ impl<S: CheckpointStore> CompressingStore<S> {
     }
 
     /// Deterministic per-object ratio: seeded by the store seed, the
-    /// object's content bytes and its logical length. Digests the scatter
-    /// segments in place — same byte sequence, no flatten.
+    /// object's content key and its logical length. Shared pages feed in
+    /// their cached digests, so only never-digested bytes are read.
     fn ratio_for(&self, data: &ImageBytes, logical_len: u64) -> f64 {
-        let h = data.scatter().checksum();
+        let h = data.scatter().content_key();
         let u = splitmix64(self.cfg.seed ^ h ^ splitmix64(logical_len));
         let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let r = self.cfg.ratio * (1.0 + self.cfg.jitter * (2.0 * x - 1.0));
@@ -338,6 +347,55 @@ mod tests {
             let v1 = s.logical_len("d/ckpt_1/rank_0.mana").unwrap();
             let v3 = s.logical_len("d/ckpt_3/rank_0.mana").unwrap();
             assert!(v3 > v1 / 2, "volume model must not shrink with dirtiness");
+        }
+
+        #[test]
+        fn ratio_draw_digests_only_never_digested_pages() {
+            use mana_sim::memory::{AddressSpace, Backing, DenseBuf};
+            use std::sync::Arc;
+            let s = store();
+            let a = AddressSpace::new();
+            let addr = a
+                .map(
+                    Half::Upper,
+                    RegionKind::Mmap,
+                    "state",
+                    16 * PAGE,
+                    Backing::Dense(DenseBuf::zeroed(16 * PAGE as usize)),
+                )
+                .unwrap();
+            let undigested = |id: u64| {
+                let snap = a.snapshot_half_tracked(Half::Upper);
+                a.clear_dirty(Half::Upper);
+                let img = Arc::new(CheckpointImage {
+                    regions: snap.regions,
+                    dirty: snap.dirty,
+                    ckpt_id: id,
+                    ..image(0)
+                });
+                let pages = || match &img.regions[0].content {
+                    SnapshotContent::Dense(d) => d.pages().to_vec(),
+                    SnapshotContent::Pattern { .. } => unreachable!("dense region"),
+                };
+                let before = pages()
+                    .iter()
+                    .filter(|p| p.cached_digest().is_none())
+                    .count();
+                let path = format!("d/ckpt_{id}/rank_0.mana");
+                s.put(
+                    &path,
+                    CheckpointImage::encode_shared(&img),
+                    img.logical_bytes(),
+                    0,
+                    SHAPE,
+                );
+                assert!(pages().iter().all(|p| p.cached_digest().is_some()));
+                before
+            };
+            assert_eq!(undigested(1), 16, "first image: every page is new");
+            a.write_bytes(addr + 3 * PAGE, &[1]).unwrap();
+            assert_eq!(undigested(2), 1, "clean pages keep their digests");
+            assert_eq!(undigested(3), 0);
         }
 
         #[test]

@@ -13,9 +13,9 @@ use mana_core::image::ImageBytes;
 use mana_core::store::CheckpointStore;
 use mana_sim::checksum::checksum_bytes;
 use mana_sim::fs::IoShape;
+use mana_sim::page::Page;
 use mana_sim::scatter::ScatterBuf;
 use mana_sim::time::SimDuration;
-use std::sync::Arc;
 
 /// What the suite should expect from the backend's cost/size model.
 #[derive(Clone, Copy, Debug)]
@@ -133,7 +133,7 @@ pub fn exercise_store(store: &dyn CheckpointStore, checks: StoreChecks) {
     // back byte-identical, the page must still be a *shared* segment (no
     // backend may silently flatten the restart read path), and the
     // streaming scatter checksum must agree with the flat digest.
-    let page: Arc<[u8]> = Arc::from(vec![7u8; 4096].into_boxed_slice());
+    let page = Page::new(&[7u8; 4096]);
     let mut sc = ScatterBuf::new();
     sc.push_owned(vec![0xAB; 16]);
     sc.push_shared(page);

@@ -12,6 +12,14 @@
 //! link, which is the real cost of long chains (bounded by
 //! [`DeltaConfig::full_every`]).
 //!
+//! Diffing compares per-page digests, and the digests come from the
+//! image's frozen pages themselves ([`mana_sim::page::Page::digest`]): a
+//! page shared with an earlier generation — or already digested by
+//! another store layer — carries its cached digest, so put-path digest
+//! work is O(pages never digested before), typically the dirty pages.
+//! Reuse follows the content; the image's dirty summaries and their
+//! snapshot-epoch stamps are not consulted.
+//!
 //! Deleting a base image out from under its dependents would break the
 //! chain, so [`CheckpointStore::remove`] first *promotes* the dependent
 //! delta to a full image — checkpoint GC (`GcPolicy::KeepLast`) composes
@@ -24,9 +32,8 @@ use mana_core::config::parse_image_path;
 use mana_core::error::StoreError;
 use mana_core::image::{decode_region, encode_region, CheckpointImage, ImageBytes};
 use mana_core::store::CheckpointStore;
-use mana_sim::checksum::checksum_bytes;
 use mana_sim::fs::IoShape;
-use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent, PAGE};
+use mana_sim::memory::{Half, RegionKind, RegionSnapshot, SnapshotContent, PAGE};
 use mana_sim::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -44,20 +51,11 @@ pub struct DeltaConfig {
     /// (bounds chain length and restart replay cost). `0` means never —
     /// every generation after the first is a delta.
     pub full_every: u64,
-    /// Page granularity for dense-region diffing, bytes. Leave at the
-    /// default 4096 (the address space's native tracking page) to keep
-    /// the O(dirty) fast path: a non-native granularity still diffs
-    /// correctly but re-materializes each region contiguously per put
-    /// and digests every page (image dirty summaries are ignored).
-    pub page: usize,
 }
 
 impl Default for DeltaConfig {
     fn default() -> DeltaConfig {
-        DeltaConfig {
-            full_every: 8,
-            page: 4096,
-        }
+        DeltaConfig { full_every: 8 }
     }
 }
 
@@ -97,13 +95,15 @@ struct DeltaBlob {
     meta: CheckpointImage,
 }
 
-fn encode_delta(blob: &DeltaBlob) -> Vec<u8> {
+/// Encode a delta of `image` over `base_path`. The image's regions are
+/// left out (`deltas` replace them); everything else is stored whole.
+fn encode_delta(base_path: &str, deltas: &[RegionDelta], image: &CheckpointImage) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(DELTA_MAGIC);
     e.u32(DELTA_VERSION);
-    e.string(&blob.base_path);
-    e.seq(blob.deltas.len());
-    for d in &blob.deltas {
+    e.string(base_path);
+    e.seq(deltas.len());
+    for d in deltas {
         match d {
             RegionDelta::Unchanged { start } => {
                 e.u32(0);
@@ -124,7 +124,7 @@ fn encode_delta(blob: &DeltaBlob) -> Vec<u8> {
             }
         }
     }
-    e.bytes(&blob.meta.encode().into_vec());
+    e.bytes(&image.encode_meta());
     e.finish()
 }
 
@@ -184,34 +184,27 @@ struct RegionDigest {
     half: Half,
     kind: RegionKind,
     name: String,
-    /// Snapshot-epoch identity `(lineage, seq)` of the generation this
-    /// digest describes, taken from its dirty summary. The next
-    /// generation's summary must name exactly this epoch as its base
-    /// before any of its clean-page claims are trusted.
-    epoch: Option<(u64, u64)>,
     content: ContentDigest,
 }
 
 enum ContentDigest {
     /// Pattern-backed region: the seed is the content.
     Pattern { seed: u64 },
-    /// Dense region: one checksum per `page`-sized chunk.
+    /// Dense region: one digest per [`PAGE`]-sized snapshot page.
     Dense { bytes: usize, pages: Vec<u64> },
 }
 
-/// Cumulative put-path instrumentation: how much page-digest work the
-/// store performed vs skipped thanks to image dirty summaries. `reset` at
-/// will; cheap aggregate counters only.
+/// Cumulative put-path instrumentation: how many page digests the store
+/// computed vs found already cached on the frozen pages. Cheap aggregate
+/// counters only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaPutStats {
-    /// Pages whose checksum was computed (O(page) work each).
+    /// Pages whose digest no holder had computed yet, so this store did
+    /// (a cache miss, O(page) work each).
     pub pages_digested: u64,
-    /// Pages whose checksum (and equality) was taken from the previous
-    /// generation's digest because the image's dirty summary proved them
-    /// clean — O(1) each.
+    /// Pages whose digest was already cached — shared with an earlier
+    /// generation or digested by another layer (a hit, O(1) each).
     pub pages_reused: u64,
-    /// Dense regions where the summary fast path applied.
-    pub regions_fast_pathed: u64,
 }
 
 fn digest_heap_bytes(d: &[RegionDigest]) -> u64 {
@@ -230,24 +223,19 @@ fn digest_heap_bytes(d: &[RegionDigest]) -> u64 {
 /// per-page digests the *next* generation will diff against, and (when
 /// `want_deltas`) the region deltas versus the previous generation.
 ///
-/// Cost discipline: a page's checksum is computed only when it must be —
-/// pages a trusted dirty summary marks clean reuse the previous
-/// generation's digest entry, so put-path digest work is O(dirty pages)
-/// on the steady-state checkpoint path (and the historical double
-/// digest-then-diff pass is gone even without summaries).
+/// Page digests are read from the frozen pages, which compute each one
+/// at most once in their life: put-path digest work is O(pages never
+/// digested before), and a fresh copy of unchanged content still diffs
+/// as unchanged.
 fn plan_regions(
     prev: Option<&[RegionDigest]>,
     new: &[RegionSnapshot],
-    summaries: &HashMap<u64, &RegionDirty>,
-    page: usize,
     want_deltas: bool,
     stats: &mut DeltaPutStats,
 ) -> (Vec<RegionDigest>, Vec<RegionDelta>) {
     let mut digests = Vec::with_capacity(new.len());
     let mut deltas = Vec::with_capacity(if want_deltas { new.len() } else { 0 });
     for r in new {
-        let summary = summaries.get(&r.start).copied();
-        let epoch = summary.map(|s| (s.lineage, s.seq));
         let base = prev.and_then(|prev| {
             prev.iter().find(|b| {
                 b.start == r.start
@@ -274,49 +262,20 @@ fn plan_regions(
                     }
                     _ => None,
                 };
-                // The summary's clean-page claims are only usable when
-                // (a) the diff granularity is the tracker's native page,
-                // (b) the previous digest's epoch is exactly the summary's
-                // base epoch (same lineage, same committed seq), and
-                // (c) the geometry agrees.
-                let fast = summary.filter(|s| {
-                    page == PAGE as usize
-                        && s.page_count as usize == nb.page_count()
-                        && base_pages.is_some_and(|p| p.len() == nb.page_count())
-                        && s.base_seq
-                            .is_some_and(|bs| base.and_then(|b| b.epoch) == Some((s.lineage, bs)))
-                });
-                if fast.is_some() {
-                    stats.regions_fast_pathed += 1;
-                }
-                // Native chunking: when the diff page equals the tracker
-                // page, the snapshot's frozen pages *are* the chunks.
-                let native = page == PAGE as usize;
-                let mut pages_out = Vec::with_capacity(nb.len().div_ceil(page.max(1)));
+                let mut pages_out = Vec::with_capacity(nb.page_count());
                 let mut patch = Vec::new();
                 let mut changed = 0usize;
-                let flat = if native { None } else { Some(nb.to_vec()) };
-                let chunks: Box<dyn Iterator<Item = &[u8]>> = match &flat {
-                    Some(v) => Box::new(v.chunks(page)),
-                    None => Box::new(nb.pages()),
-                };
-                for (i, chunk) in chunks.enumerate() {
-                    if let (Some(s), Some(bp)) = (fast, base_pages) {
-                        if !s.is_dirty(i) {
-                            stats.pages_reused += 1;
-                            pages_out.push(bp[i]);
-                            continue;
-                        }
+                for (i, page) in nb.pages().iter().enumerate() {
+                    let (ck, computed) = page.digest_computed();
+                    if computed {
+                        stats.pages_digested += 1;
+                    } else {
+                        stats.pages_reused += 1;
                     }
-                    let ck = checksum_bytes(chunk);
-                    stats.pages_digested += 1;
                     pages_out.push(ck);
-                    if want_deltas
-                        && base_pages.is_some()
-                        && base_pages.and_then(|p| p.get(i)).copied() != Some(ck)
-                    {
-                        patch.push(((i * page) as u64, chunk.to_vec()));
-                        changed += chunk.len();
+                    if want_deltas && base_pages.is_some_and(|p| p.get(i) != Some(&ck)) {
+                        patch.push(((i * PAGE as usize) as u64, page.to_vec()));
+                        changed += page.len();
                     }
                 }
                 let delta = if base_pages.is_none() {
@@ -347,7 +306,6 @@ fn plan_regions(
             half: r.half,
             kind: r.kind,
             name: r.name.clone(),
-            epoch,
             content,
         });
         if want_deltas {
@@ -577,7 +535,10 @@ impl<S: CheckpointStore> DeltaStore<S> {
             return false;
         };
         let full_logical = img.logical_bytes();
-        let encoded = img.encode();
+        // Shared encode: the promoted full image shares the reconstructed
+        // rope's pages (cached digests included) and carries the image
+        // attached, so a later read skips the wire decode.
+        let encoded = CheckpointImage::encode_shared(&Arc::new(img));
         let mut st = self.state.lock();
         Self::forget(&mut st, &child);
         if let Some(gen) = st.latest.values_mut().find(|g| g.path == child) {
@@ -607,12 +568,13 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
         let family = parse_image_path(path).map(|p| (p.dir, p.rank));
         // Prefer the producer-attached image — regions are diffed and
         // digested straight out of the snapshot rope, no wire decode and
-        // no flatten. Foreign flat bytes fall back to a decode.
+        // no flatten. Otherwise a shared decode recovers the scatter's
+        // page handles (cached digests included) where it can.
         let decoded: CheckpointImage;
         let img: &CheckpointImage = match (&family, data.image()) {
             (Some(_), Some(img)) => img,
-            (Some(_), None) => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(i) => {
+            (Some(_), None) => match CheckpointImage::decode_shared(&data) {
+                Ok((i, _)) => {
                     decoded = i;
                     &decoded
                 }
@@ -633,27 +595,20 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
             }
         };
         let family = family.expect("family checked above");
-        let page = self.cfg.page.max(1);
-        let summaries: HashMap<u64, &RegionDirty> =
-            img.dirty.iter().map(|d| (d.start, d)).collect();
         let mut st = self.state.lock();
         Self::forget(&mut st, path);
         let prev_gen = st.latest.get(&family).filter(|prev| prev.path != path);
         // Emitting a delta additionally requires the full_every cadence;
-        // digest *reuse* does not (a cadence full write still skips
-        // digesting summary-clean pages).
+        // digest reuse does not (it rides on the pages themselves).
         let delta_base = prev_gen
             .filter(|prev| self.cfg.full_every == 0 || prev.since_full + 1 < self.cfg.full_every)
             .map(|prev| (prev.path.clone(), prev.since_full));
         // One pass: digests for the next generation + deltas vs the
-        // previous one, skipping checksum work for pages the image's
-        // dirty summary proves clean (epoch-guarded).
+        // previous one, computing only digests no page holder has yet.
         let mut stats = DeltaPutStats::default();
         let (digest, deltas) = plan_regions(
             prev_gen.map(|p| &p.digest[..]),
             &img.regions,
-            &summaries,
-            page,
             delta_base.is_some(),
             &mut stats,
         );
@@ -661,22 +616,13 @@ impl<S: CheckpointStore> CheckpointStore for DeltaStore<S> {
             let mut acc = self.put_stats.lock();
             acc.pages_digested += stats.pages_digested;
             acc.pages_reused += stats.pages_reused;
-            acc.regions_fast_pathed += stats.regions_fast_pathed;
         }
         if let Some((base_path, since_full)) = delta_base {
             let delta_logical = 4096 + deltas.iter().map(RegionDelta::logical_cost).sum::<u64>();
-            // The meta must not carry the region payloads (the bulk of
-            // the image): the delta entries replace them. The dirty
-            // summaries stay — reconstruction then reproduces the
-            // original image bit-for-bit.
-            let mut meta = img.clone();
-            meta.regions = Vec::new();
-            let blob = DeltaBlob {
-                base_path: base_path.clone(),
-                deltas,
-                meta,
-            };
-            let encoded = encode_delta(&blob);
+            // The delta entries replace the region payloads (the bulk of
+            // the image). The dirty summaries stay — reconstruction then
+            // reproduces the original image bit-for-bit.
+            let encoded = encode_delta(&base_path, &deltas, img);
             st.base_of.insert(path.to_string(), base_path.clone());
             st.child_of.insert(base_path, path.to_string());
             st.latest.insert(
@@ -910,13 +856,7 @@ mod tests {
 
     #[test]
     fn full_every_bounds_the_chain() {
-        let s = DeltaStore::new(
-            DeltaConfig {
-                full_every: 2,
-                ..DeltaConfig::default()
-            },
-            InMemStore::new(),
-        );
+        let s = DeltaStore::new(DeltaConfig { full_every: 2 }, InMemStore::new());
         let mut data = vec![0u8; 16 << 10];
         for id in 1..=4 {
             data[0] = id as u8;
@@ -966,13 +906,7 @@ mod tests {
         // each other must be rejected by the chain walk, not looped on.
         let s = store();
         let meta = image(1, Vec::new());
-        let blob = |base: &str| {
-            encode_delta(&DeltaBlob {
-                base_path: base.to_string(),
-                deltas: Vec::new(),
-                meta: meta.clone(),
-            })
-        };
+        let blob = |base: &str| encode_delta(base, &[], &meta);
         let one = blob("c/two");
         let two = blob("c/one");
         s.put("c/one", one.clone().into(), one.len() as u64, 0, SHAPE);
@@ -1028,11 +962,10 @@ mod tests {
     }
 
     #[test]
-    fn dirty_summaries_make_digest_work_o_dirty() {
-        use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind};
+    fn digest_work_is_o_pages_never_digested() {
+        use mana_sim::memory::{AddressSpace, Backing, DenseBuf, DenseSnap, Half, RegionKind};
         let s = store();
         let a = AddressSpace::new();
-        a.set_lineage(0x51ED);
         let npages = 64u64;
         let addr = a
             .map(
@@ -1049,7 +982,7 @@ mod tests {
             img
         };
 
-        // Generation 1: everything digested (no previous generation).
+        // Generation 1: every page is new, so every page is digested.
         a.write_bytes(addr, &[1u8; 128]).unwrap();
         let img1 = img_of(1, a.snapshot_half_tracked(Half::Upper));
         s.put(&path(1), img1.encode(), img1.logical_bytes(), 0, SHAPE);
@@ -1058,7 +991,8 @@ mod tests {
         assert_eq!(after1.pages_digested, npages);
         assert_eq!(after1.pages_reused, 0);
 
-        // Generation 2: one page touched — exactly one page digested.
+        // Generation 2: one page touched. The clean pages are the pages
+        // generation 1 digested, so exactly one page is digested.
         a.write_bytes(addr + 7 * PAGE + 3, &[9u8; 16]).unwrap();
         let img2 = img_of(2, a.snapshot_half_tracked(Half::Upper));
         s.put(&path(2), img2.encode(), img2.logical_bytes(), 0, SHAPE);
@@ -1067,10 +1001,9 @@ mod tests {
         assert_eq!(
             after2.pages_digested - after1.pages_digested,
             1,
-            "digest work must scale with dirty pages"
+            "digest work must scale with never-digested pages"
         );
         assert_eq!(after2.pages_reused, npages - 1);
-        assert_eq!(after2.regions_fast_pathed, 1);
         // And the delta itself is one page.
         assert!(s.is_delta_object(&path(2)));
         assert!(s.logical_len(&path(2)).unwrap() < 16 << 10);
@@ -1081,24 +1014,56 @@ mod tests {
         let (bytes, _) = s.get(&path(1), 0, SHAPE).unwrap();
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img1);
 
-        // A summary from a foreign lineage must NOT fast-path (the guard
-        // protects against epoch aliasing across incarnations).
-        a.write_bytes(addr + 9 * PAGE, &[4u8; 8]).unwrap();
-        let mut img3 = img_of(3, a.snapshot_half_tracked(Half::Upper));
-        for d in &mut img3.dirty {
-            d.lineage ^= 0xFFFF;
+        // Generation 3: a fresh copy of identical content shares no page,
+        // so it is digested in full — and still diffs as unchanged.
+        let mut img3 = img2.clone();
+        img3.ckpt_id = 3;
+        for r in &mut img3.regions {
+            if let SnapshotContent::Dense(d) = &r.content {
+                r.content = SnapshotContent::Dense(DenseSnap::from_vec(d.to_vec()));
+            }
         }
         s.put(&path(3), img3.encode(), img3.logical_bytes(), 0, SHAPE);
-        a.clear_dirty(Half::Upper);
         let after3 = s.put_stats();
-        assert_eq!(
-            after3.pages_digested - after2.pages_digested,
-            npages,
-            "mismatched lineage must fall back to a full digest"
+        assert_eq!(after3.pages_digested - after2.pages_digested, npages);
+        assert_eq!(after3.pages_reused, after2.pages_reused);
+        assert!(s.is_delta_object(&path(3)));
+        assert!(
+            s.logical_len(&path(3)).unwrap() < 8 << 10,
+            "identical content must diff as Unchanged"
         );
-        assert_eq!(after3.regions_fast_pathed, 1);
         let (bytes, _) = s.get(&path(3), 0, SHAPE).unwrap();
         assert_eq!(CheckpointImage::decode_shared(&bytes).unwrap().0, img3);
+    }
+
+    #[test]
+    fn promotion_shares_the_reconstructed_pages() {
+        let s = store();
+        let big = vec![9u8; 64 << 10];
+        let gen1 = image(1, vec![region(0x1000, big.clone())]);
+        s.put(&path(1), gen1.encode(), gen1.logical_bytes(), 0, SHAPE);
+        let mut big2 = big;
+        big2[0] = 1;
+        let gen2 = image(2, vec![region(0x1000, big2)]);
+        s.put(&path(2), gen2.encode(), gen2.logical_bytes(), 0, SHAPE);
+        let (base, _) = s.inner().get(&path(1), 0, SHAPE).unwrap();
+        let (base, _) = CheckpointImage::decode_shared(&base).unwrap();
+
+        assert!(s.remove(&path(1)));
+        let (promoted, _) = s.inner().get(&path(2), 0, SHAPE).unwrap();
+        assert!(!is_delta(&promoted), "promoted to a full image");
+        let (promoted, _) = CheckpointImage::decode_shared(&promoted).unwrap();
+        assert_eq!(promoted, gen2);
+        let (SnapshotContent::Dense(b), SnapshotContent::Dense(p)) =
+            (&base.regions[0].content, &promoted.regions[0].content)
+        else {
+            panic!("dense regions expected");
+        };
+        // Page 0 was patched; every other page is the base's own handle.
+        assert!(!p.shares_page(b, 0));
+        for i in 1..p.page_count() {
+            assert!(p.shares_page(b, i), "page {i} was copied");
+        }
     }
 
     #[test]
