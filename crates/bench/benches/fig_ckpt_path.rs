@@ -97,7 +97,6 @@ fn image_around(ckpt_id: u64, snap: HalfSnapshot) -> CheckpointImage {
 /// dirty `frac` of the pages, then measure the second epoch end-to-end.
 fn run_epoch(nregions: u64, pages_per_region: u64, frac: f64) -> EpochResult {
     let a = AddressSpace::new();
-    a.set_lineage(0xF16);
     let mut starts = Vec::new();
     for i in 0..nregions {
         let len = pages_per_region * PAGE;

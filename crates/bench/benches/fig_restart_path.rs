@@ -73,7 +73,6 @@ fn image_around(ckpt_id: u64, snap: HalfSnapshot) -> CheckpointImage {
 /// contents, every page committed.
 fn build_space(nregions: u64, pages_per_region: u64) -> AddressSpace {
     let a = AddressSpace::new();
-    a.set_lineage(0xF17);
     for i in 0..nregions {
         let len = (pages_per_region * PAGE) as usize;
         let mut buf = DenseBuf::zeroed(len);
@@ -164,7 +163,6 @@ fn restore_through(
 fn rank_wire(rank: u32, nranks: u32, pages: u64) -> Vec<u8> {
     let len = (pages * PAGE) as usize;
     let a = AddressSpace::new();
-    a.set_lineage(u64::from(rank) ^ 0xD0C);
     let mut buf = DenseBuf::zeroed(len);
     for (i, chunk) in buf.as_bytes_mut().chunks_mut(8).enumerate() {
         let v = splitmix64(i as u64 ^ (u64::from(rank) << 40) ^ 0xC0FFEE).to_le_bytes();

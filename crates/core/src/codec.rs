@@ -1,9 +1,9 @@
 //! Minimal binary codec for checkpoint images.
 //!
-//! Hand-rolled little-endian encoding with explicit versioning: a
-//! checkpoint image is a long-lived artifact (the whole point of MANA is
-//! that it outlives libraries and clusters), so its layout is spelled out
-//! byte-by-byte rather than delegated to a serialization framework.
+//! Hand-rolled little-endian encoding: a checkpoint image must restore
+//! under a different MPI library and cluster than the one that wrote it,
+//! so its layout is spelled out byte-by-byte (and stamped with one format
+//! version) rather than delegated to a serialization framework.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mana_sim::memory::{pages_of_len, DenseSnap, PAGE};
@@ -44,11 +44,9 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A serialization sink: the one set of field-writing primitives, backed
-/// either by a real buffer ([`Enc`]) or by a byte counter ([`MeasureEnc`]).
-/// Encoders written against `Sink` can therefore compute their exact
-/// output length with a cheap measuring pass and then serialize in a
-/// single pass into one preallocated buffer — no incremental
-/// reallocation, no drift between the size computation and the writer.
+/// either by a contiguous buffer ([`Enc`]) or by a scatter of owned runs
+/// and shared pages ([`ScatterEnc`]). Encoders written against `Sink`
+/// produce the same wire bytes through either.
 pub trait Sink {
     /// Write a `u8`.
     fn u8(&mut self, v: u8);
@@ -92,51 +90,6 @@ pub trait Sink {
     }
 }
 
-/// Measuring sink: counts the bytes an encoding would produce without
-/// writing any.
-#[derive(Default)]
-pub struct MeasureEnc {
-    len: usize,
-}
-
-impl MeasureEnc {
-    /// Fresh counter.
-    pub fn new() -> MeasureEnc {
-        MeasureEnc::default()
-    }
-
-    /// Bytes the measured encoding occupies.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing was measured.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Sink for MeasureEnc {
-    fn u8(&mut self, _: u8) {
-        self.len += 1;
-    }
-    fn u32(&mut self, _: u32) {
-        self.len += 4;
-    }
-    fn i32(&mut self, _: i32) {
-        self.len += 4;
-    }
-    fn u64(&mut self, _: u64) {
-        self.len += 8;
-    }
-    fn boolean(&mut self, _: bool) {
-        self.len += 1;
-    }
-    fn raw(&mut self, v: &[u8]) {
-        self.len += v.len();
-    }
-}
-
 /// Encoder over a growable buffer.
 #[derive(Default)]
 pub struct Enc {
@@ -147,19 +100,6 @@ impl Enc {
     /// Fresh encoder.
     pub fn new() -> Enc {
         Enc::default()
-    }
-
-    /// Encoder with `n` bytes preallocated (pair with [`MeasureEnc`] for
-    /// single-allocation serialization).
-    pub fn with_capacity(n: usize) -> Enc {
-        Enc {
-            buf: BytesMut::with_capacity(n),
-        }
-    }
-
-    /// Current allocation size.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
     }
 
     /// Finish and take the bytes (moves; no copy).
@@ -643,29 +583,6 @@ mod tests {
         data.truncate(3);
         let mut d = Dec::new(&data);
         assert_eq!(d.u64("x"), Err(CodecError::Truncated { what: "x" }));
-    }
-
-    #[test]
-    fn measure_matches_write_exactly() {
-        fn encode<S: Sink>(s: &mut S) {
-            s.u8(1);
-            s.u32(2);
-            s.i32(-3);
-            s.u64(4);
-            s.boolean(false);
-            s.bytes(b"abcdef");
-            s.string("xyz");
-            s.seq(9);
-            s.raw(&[7; 13]);
-        }
-        let mut m = MeasureEnc::new();
-        encode(&mut m);
-        let mut e = Enc::with_capacity(m.len());
-        encode(&mut e);
-        assert_eq!(e.len(), m.len());
-        let cap = e.capacity();
-        assert_eq!(cap, m.len(), "preallocation was not exact");
-        assert_eq!(e.finish().len(), m.len());
     }
 
     #[test]

@@ -10,11 +10,16 @@
 //! Anything expressible here can be restored under a different MPI
 //! implementation, network, or cluster — that is the MPI-agnostic,
 //! network-agnostic property.
+//!
+//! There is exactly one wire layout, [`VERSION`]. Images live in stores
+//! that never outlive the process that wrote them, so decode accepts only
+//! that value and rejects anything else with [`CodecError::BadVersion`]:
+//! any change to the layout bumps it.
 
 use crate::buffer::{BufferedMsg, PairCounters};
-use crate::codec::{CodecError, Dec, Enc, MeasureEnc, ScatterDec, ScatterEnc, Sink, Src};
+use crate::codec::{CodecError, Dec, Enc, ScatterDec, ScatterEnc, Sink, Src};
 use crate::record::LoggedCall;
-use crate::restart::compact::{derive_rebind, BindSource, RebindEntry};
+use crate::restart::compact::{BindSource, RebindEntry};
 use mana_mpi::{BaseType, ReduceOp};
 use mana_sim::memory::{Half, RegionDirty, RegionKind, RegionSnapshot, SnapshotContent};
 use mana_sim::scatter::ScatterBuf;
@@ -22,17 +27,9 @@ use std::sync::Arc;
 
 /// "MANAIMG1" little-endian.
 pub const MAGIC: u64 = 0x3147_4d49_414e_414d;
-/// Current format version. Version 2 adds the explicit world-communicator
-/// id, the virtual-id rebind map, the per-step handle-creation ledger and
-/// recorded `CommGroup` membership (everything the compacted-log restart
-/// pipeline verifies against). Version 3 adds the per-region dirty-page
-/// summaries emitted by the copy-on-write snapshot path (advisory: they
-/// let `DeltaStore` skip digesting clean pages). Version-1 images still
-/// decode: the world id and rebind map are derived from the (always-full)
-/// v1 log; pre-v3 images decode with no dirty summaries.
-pub const VERSION: u32 = 3;
-/// Oldest format version [`CheckpointImage::decode`] accepts.
-pub const MIN_VERSION: u32 = 1;
+/// The image format version, and the only one [`CheckpointImage::decode`]
+/// accepts. Bump it on any change to the wire layout.
+pub const VERSION: u32 = 4;
 
 /// A live virtual communicator at checkpoint time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,36 +117,33 @@ pub struct CheckpointImage {
     /// rewinds to this so skipped operations re-derive their original
     /// slot ids).
     pub slot_seq_at_step: u64,
-    /// Virtual id of the world communicator (v2; explicit instead of the
-    /// historical "smallest live comm id" coincidence).
+    /// Virtual id of the world communicator.
     pub world_virt: u64,
     /// Explicit virtual-id rebind map: which retained log entry (or the
-    /// fresh world) binds each virtual id at replay (v2; derived from the
-    /// log for v1 images).
+    /// fresh world) binds each virtual id at replay.
     pub rebind: Vec<RebindEntry>,
     /// Virtual handles created by completed operations of the interrupted
     /// step, in creation order — the environment's resume ledger for
-    /// skipped communicator/group/datatype creations (v2).
+    /// skipped communicator/group/datatype creations.
     pub step_created: Vec<u64>,
     /// Per-region dirty-page summaries from the copy-on-write snapshot
-    /// path (v3; empty for pre-v3 images or hand-built images). Advisory:
-    /// `DeltaStore` uses them — guarded by the `(lineage, base_seq)`
-    /// epoch identity — to make diffing O(dirty pages).
+    /// path (empty for hand-built images). Advisory: dirty-aware
+    /// `CompressingStore` charges only the pages they mark dirty.
     pub dirty: Vec<RegionDirty>,
 }
 
 /// The encoded form of a [`CheckpointImage`]: a scatter of byte segments
-/// whose concatenation is exactly what [`CheckpointImage::encode_with_version`]
-/// would produce as a flat vector, except the dense region pages are
-/// *shared* `Arc` handles into the snapshot ropes — no page is memcpy'd
-/// between the address space and the store tier. An optional decoded-image
-/// attachment rides along so image-aware stores (`DeltaStore`, `CasStore`,
+/// whose concatenation is exactly what [`CheckpointImage::encode_flat`]
+/// produces as one vector, except the dense region pages are *shared*
+/// page handles into the snapshot ropes — no page is memcpy'd between the
+/// address space and the store tier. An optional decoded-image attachment
+/// rides along so image-aware stores (`DeltaStore`, `CasStore`,
 /// dirty-aware compression) can read regions and dirty summaries straight
 /// from the rope instead of re-decoding the wire bytes.
 ///
-/// Old call sites that need contiguous bytes use [`ImageBytes::to_vec`] —
-/// the compatibility shim that pays (and counts, see
-/// [`mana_sim::scatter::shared_flatten_bytes`]) the flatten.
+/// Call sites that need contiguous bytes use [`ImageBytes::to_vec`], which
+/// pays (and counts, see [`mana_sim::scatter::shared_flatten_bytes`]) the
+/// flatten.
 #[derive(Clone, Debug)]
 pub struct ImageBytes {
     buf: ScatterBuf,
@@ -239,13 +233,13 @@ impl PartialEq for ImageBytes {
 impl Eq for ImageBytes {}
 
 impl CheckpointImage {
-    /// Serialize in the current format as a zero-copy scatter: dense
-    /// region pages are shared rope handles, metadata runs are small
-    /// owned segments. Byte-identical to the historical flat encoding
-    /// (`encode_with_version(VERSION)`), proven by property test.
+    /// Serialize as a zero-copy scatter: dense region pages are shared
+    /// rope handles, metadata runs are small owned segments.
+    /// Byte-identical to [`CheckpointImage::encode_flat`], proven by
+    /// property test.
     pub fn encode(&self) -> ImageBytes {
         ImageBytes {
-            buf: self.encode_scatter_with_version(VERSION),
+            buf: self.encode_scatter(),
             image: None,
         }
     }
@@ -257,53 +251,24 @@ impl CheckpointImage {
     /// hot checkpoint path (helper thread, worker pool) uses this.
     pub fn encode_shared(this: &Arc<CheckpointImage>) -> ImageBytes {
         ImageBytes {
-            buf: this.encode_scatter_with_version(VERSION),
+            buf: this.encode_scatter(),
             image: Some(this.clone()),
         }
     }
 
-    /// Scatter encoding at an explicit format version — the same wire
-    /// bytes as [`CheckpointImage::encode_with_version`], with dense pages
-    /// as shared segments.
-    pub fn encode_scatter_with_version(&self, version: u32) -> ScatterBuf {
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&version),
-            "unknown image version {version}"
-        );
+    fn encode_scatter(&self) -> ScatterBuf {
         let mut e = ScatterEnc::new();
-        self.encode_into(&mut e, version, &self.regions);
-        debug_assert_eq!(e.len(), self.encoded_len(version));
+        self.encode_into(&mut e, &self.regions);
         e.finish()
     }
 
-    /// Serialize in an explicit format version. Version 1 drops the
-    /// v2-only fields (world id, rebind map, step ledger, `CommGroup`
-    /// membership), version 2 additionally drops the dirty summaries —
-    /// kept so back-compat tests and tooling can produce old-format
-    /// images; a downgraded round-trip is lossy by design.
-    ///
-    /// The encoding is single-pass into one exactly-sized buffer: a
-    /// measuring pass over the same generic writer computes the output
-    /// length first, so region payloads (the bulk of the image) are never
-    /// re-copied by incremental buffer growth.
-    pub fn encode_with_version(&self, version: u32) -> Vec<u8> {
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&version),
-            "unknown image version {version}"
-        );
-        let len = self.encoded_len(version);
-        let mut e = Enc::with_capacity(len);
-        self.encode_into(&mut e, version, &self.regions);
-        debug_assert_eq!(e.len(), len, "measuring pass disagrees with writer");
-        debug_assert_eq!(e.capacity(), len, "encode reallocated");
+    /// The reference encoding into one contiguous buffer, every dense
+    /// page copied. The store path uses [`CheckpointImage::encode`]; this
+    /// is what tests compare its wire bytes against.
+    pub fn encode_flat(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.encode_into(&mut e, &self.regions);
         e.finish()
-    }
-
-    /// Exact byte length `encode_with_version(version)` will produce.
-    pub fn encoded_len(&self, version: u32) -> usize {
-        let mut m = MeasureEnc::new();
-        self.encode_into(&mut m, version, &self.regions);
-        m.len()
     }
 
     /// The current-format encoding of this image with its regions left
@@ -312,14 +277,14 @@ impl CheckpointImage {
     /// their own way (deltas) frame the rest of the image with this.
     pub fn encode_meta(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        self.encode_into(&mut e, VERSION, &[]);
+        self.encode_into(&mut e, &[]);
         e.finish()
     }
 
     /// Write the image with `regions` in place of `self.regions`.
-    fn encode_into<S: Sink>(&self, e: &mut S, version: u32, regions: &[RegionSnapshot]) {
+    fn encode_into<S: Sink>(&self, e: &mut S, regions: &[RegionSnapshot]) {
         e.u64(MAGIC);
-        e.u32(version);
+        e.u32(VERSION);
         e.u32(self.rank);
         e.u32(self.nranks);
         e.u64(self.ckpt_id);
@@ -357,7 +322,7 @@ impl CheckpointImage {
         }
         e.seq(self.log.len());
         for c in &self.log {
-            enc_call(e, c, version);
+            enc_call(e, c);
         }
         enc_counters(e, &self.counters);
         e.seq(self.buffered.len());
@@ -394,47 +359,34 @@ impl CheckpointImage {
         }
         e.u64(self.slot_seq);
         e.u64(self.slot_seq_at_step);
-        if version >= 2 {
-            e.u64(self.world_virt);
-            e.seq(self.rebind.len());
-            for r in &self.rebind {
-                e.u64(r.virt);
-                match r.source {
-                    BindSource::World => e.u32(0),
-                    BindSource::Created { index } => {
-                        e.u32(1);
-                        e.u32(index);
-                    }
+        e.u64(self.world_virt);
+        e.seq(self.rebind.len());
+        for r in &self.rebind {
+            e.u64(r.virt);
+            match r.source {
+                BindSource::World => e.u32(0),
+                BindSource::Created { index } => {
+                    e.u32(1);
+                    e.u32(index);
                 }
-            }
-            e.seq(self.step_created.len());
-            for v in &self.step_created {
-                e.u64(*v);
             }
         }
-        if version >= 3 {
-            e.seq(self.dirty.len());
-            for d in &self.dirty {
-                e.u64(d.start);
-                e.u64(d.lineage);
-                e.u64(d.seq);
-                match d.base_seq {
-                    Some(b) => {
-                        e.boolean(true);
-                        e.u64(b);
-                    }
-                    None => e.boolean(false),
-                }
-                e.u64(d.page_count);
-                e.seq(d.pages.len());
-                for w in &d.pages {
-                    e.u64(*w);
-                }
+        e.seq(self.step_created.len());
+        for v in &self.step_created {
+            e.u64(*v);
+        }
+        e.seq(self.dirty.len());
+        for d in &self.dirty {
+            e.u64(d.start);
+            e.u64(d.page_count);
+            e.seq(d.pages.len());
+            for w in &d.pages {
+                e.u64(*w);
             }
         }
     }
 
-    /// Deserialize (accepts every version from [`MIN_VERSION`] up).
+    /// Deserialize (accepts exactly [`VERSION`]).
     pub fn decode(data: &[u8]) -> Result<CheckpointImage, CodecError> {
         let mut d = Dec::new(data);
         CheckpointImage::decode_from(&mut d)
@@ -475,7 +427,7 @@ impl CheckpointImage {
             return Err(CodecError::BadMagic(magic));
         }
         let version = d.u32("version")?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let rank = d.u32("rank")?;
@@ -523,7 +475,7 @@ impl CheckpointImage {
         }
         let mut log = Vec::new();
         for _ in 0..d.seq("log")? {
-            log.push(dec_call(d, version)?);
+            log.push(dec_call(d)?);
         }
         let counters = dec_counters(d)?;
         let mut buffered = Vec::new();
@@ -571,62 +523,41 @@ impl CheckpointImage {
         }
         let slot_seq = d.u64("slot_seq")?;
         let slot_seq_at_step = d.u64("slot_seq_at_step")?;
-        let (world_virt, rebind, step_created) = if version >= 2 {
-            let world_virt = d.u64("world_virt")?;
-            let mut rebind = Vec::new();
-            for _ in 0..d.seq("rebind")? {
-                let virt = d.u64("rebind virt")?;
-                let source = match d.u32("rebind source")? {
-                    0 => BindSource::World,
-                    1 => BindSource::Created {
-                        index: d.u32("rebind index")?,
-                    },
-                    tag => {
-                        return Err(CodecError::BadTag {
-                            what: "rebind source",
-                            tag,
-                        })
-                    }
-                };
-                rebind.push(RebindEntry { virt, source });
-            }
-            let mut step_created = Vec::new();
-            for _ in 0..d.seq("step_created")? {
-                step_created.push(d.u64("step_created virt")?);
-            }
-            (world_virt, rebind, step_created)
-        } else {
-            // v1 images predate the explicit world id and rebind map:
-            // re-derive both from the (always-full) log, using the
-            // historical smallest-live-comm-id convention for the world.
-            let world_virt = comms.iter().map(|c| c.virt).min().unwrap_or(0);
-            (world_virt, derive_rebind(world_virt, &log), Vec::new())
-        };
-        let mut dirty = Vec::new();
-        if version >= 3 {
-            for _ in 0..d.seq("dirty summaries")? {
-                let start = d.u64("dirty start")?;
-                let lineage = d.u64("dirty lineage")?;
-                let seq = d.u64("dirty seq")?;
-                let base_seq = if d.boolean("dirty base some")? {
-                    Some(d.u64("dirty base seq")?)
-                } else {
-                    None
-                };
-                let page_count = d.u64("dirty page count")?;
-                let mut pages = Vec::new();
-                for _ in 0..d.seq("dirty words")? {
-                    pages.push(d.u64("dirty word")?);
+        let world_virt = d.u64("world_virt")?;
+        let mut rebind = Vec::new();
+        for _ in 0..d.seq("rebind")? {
+            let virt = d.u64("rebind virt")?;
+            let source = match d.u32("rebind source")? {
+                0 => BindSource::World,
+                1 => BindSource::Created {
+                    index: d.u32("rebind index")?,
+                },
+                tag => {
+                    return Err(CodecError::BadTag {
+                        what: "rebind source",
+                        tag,
+                    })
                 }
-                dirty.push(RegionDirty {
-                    start,
-                    lineage,
-                    seq,
-                    base_seq,
-                    page_count,
-                    pages,
-                });
+            };
+            rebind.push(RebindEntry { virt, source });
+        }
+        let mut step_created = Vec::new();
+        for _ in 0..d.seq("step_created")? {
+            step_created.push(d.u64("step_created virt")?);
+        }
+        let mut dirty = Vec::new();
+        for _ in 0..d.seq("dirty summaries")? {
+            let start = d.u64("dirty start")?;
+            let page_count = d.u64("dirty page count")?;
+            let mut pages = Vec::new();
+            for _ in 0..d.seq("dirty words")? {
+                pages.push(d.u64("dirty word")?);
             }
+            dirty.push(RegionDirty {
+                start,
+                page_count,
+                pages,
+            });
         }
         Ok(CheckpointImage {
             rank,
@@ -961,7 +892,7 @@ fn dec_counters<S: Src>(d: &mut S) -> Result<PairCounters, CodecError> {
     Ok(c)
 }
 
-fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
+fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall) {
     match c {
         LoggedCall::CommDup { parent, result } => {
             e.u32(0);
@@ -1017,18 +948,11 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
             }
             e.u64(*result);
         }
-        LoggedCall::CommGroup {
-            comm,
-            members,
-            result,
-        } => {
+        LoggedCall::CommGroup { members, result } => {
             e.u32(5);
-            e.u64(*comm);
-            if version >= 2 {
-                e.seq(members.len());
-                for m in members {
-                    e.u32(*m);
-                }
+            e.seq(members.len());
+            for m in members {
+                e.u32(*m);
             }
             e.u64(*result);
         }
@@ -1098,7 +1022,7 @@ fn enc_call<S: Sink>(e: &mut S, c: &LoggedCall, version: u32) {
     }
 }
 
-fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
+fn dec_call<S: Src>(d: &mut S) -> Result<LoggedCall, CodecError> {
     Ok(match d.u32("call tag")? {
         0 => LoggedCall::CommDup {
             parent: d.u64("dup parent")?,
@@ -1141,15 +1065,11 @@ fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
             }
         }
         5 => {
-            let comm = d.u64("cg comm")?;
             let mut members = Vec::new();
-            if version >= 2 {
-                for _ in 0..d.seq("cg members")? {
-                    members.push(d.u32("cg member")?);
-                }
+            for _ in 0..d.seq("cg members")? {
+                members.push(d.u32("cg member")?);
             }
             LoggedCall::CommGroup {
-                comm,
                 members,
                 result: d.u64("cg result")?,
             }
@@ -1212,6 +1132,7 @@ fn dec_call<S: Src>(d: &mut S, version: u32) -> Result<LoggedCall, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::restart::compact::derive_rebind;
     use mana_sim::memory::DenseSnap;
 
     fn sample() -> CheckpointImage {
@@ -1324,9 +1245,6 @@ mod tests {
             step_created: vec![0x1000_0001],
             dirty: vec![RegionDirty {
                 start: 0x1000,
-                lineage: 0xABCD,
-                seq: 4,
-                base_seq: Some(3),
                 page_count: 1,
                 pages: vec![1],
             }],
@@ -1339,6 +1257,25 @@ mod tests {
         let bytes = img.encode().to_vec();
         let back = CheckpointImage::decode(&bytes).expect("decode");
         assert_eq!(img, back);
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_every_version() {
+        // One wire version is left; its scatter encoding reports exactly
+        // the byte count it flattens to, and matches the flat encoder.
+        let img = sample();
+        let scatter = img.encode();
+        let bytes = scatter.to_vec();
+        assert_eq!(scatter.len(), bytes.len(), "version {VERSION}");
+        assert_eq!(img.encode_flat().len(), bytes.len(), "version {VERSION}");
+        assert_eq!(&bytes[8..12], &VERSION.to_le_bytes()[..]);
+        // And the dense payload appears verbatim where it always did: the
+        // first region's 16 content bytes follow its u64 length prefix.
+        let needle = [9u8; 16];
+        assert!(
+            bytes.windows(16).any(|w| w == needle),
+            "dense content not serialized contiguously"
+        );
     }
 
     #[test]
@@ -1400,81 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_still_decode() {
-        // A v1 encoding drops the v2 fields; decode derives the world id
-        // (smallest live comm) and the rebind map from the full log, and
-        // leaves the step ledger empty.
-        let mut img = sample();
-        img.step_created.clear(); // v1 cannot carry a mid-step ledger
-        let v1 = img.encode_with_version(1);
-        let back = CheckpointImage::decode(&v1).expect("v1 decode");
-        assert_eq!(back.world_virt, 0x1000_0000);
-        assert_eq!(back.rebind, img.rebind, "rebind re-derived from the log");
-        assert!(back.step_created.is_empty());
-        assert_eq!(back.regions, img.regions);
-        assert_eq!(back.comms, img.comms);
-        assert_eq!(back.counters, img.counters);
-        assert_eq!(back.log, img.log);
-        // And the v1 bytes are genuinely the old layout: smaller, version 1.
-        assert!(v1.len() < img.encode().len());
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-    }
-
-    #[test]
-    fn v1_drops_comm_group_members() {
-        let mut img = sample();
-        img.step_created.clear();
-        img.log.push(LoggedCall::CommGroup {
-            comm: 0x1000_0000,
-            members: vec![0, 1, 2],
-            result: 0x2000_0001,
-        });
-        img.rebind = derive_rebind(img.world_virt, &img.log);
-        let back = CheckpointImage::decode(&img.encode_with_version(1)).expect("v1 decode");
-        match back.log.last().expect("log entry") {
-            LoggedCall::CommGroup { members, .. } => {
-                assert!(members.is_empty(), "v1 cannot carry group membership")
-            }
-            other => panic!("unexpected entry {other:?}"),
-        }
-        // v2 keeps them.
-        let back2 = CheckpointImage::decode(&img.encode().to_vec()).expect("v2 decode");
-        assert_eq!(back2.log, img.log);
-    }
-
-    #[test]
-    fn v2_images_drop_dirty_summaries() {
-        let img = sample();
-        let v2 = img.encode_with_version(2);
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        let back = CheckpointImage::decode(&v2).expect("v2 decode");
-        assert!(back.dirty.is_empty(), "v2 cannot carry dirty summaries");
-        assert_eq!(back.regions, img.regions);
-        assert_eq!(back.rebind, img.rebind);
-        assert_eq!(back.step_created, img.step_created);
-        // v3 keeps them.
-        let back3 = CheckpointImage::decode(&img.encode().to_vec()).expect("v3 decode");
-        assert_eq!(back3.dirty, img.dirty);
-    }
-
-    #[test]
-    fn encoded_len_is_exact_for_every_version() {
-        let img = sample();
-        for v in MIN_VERSION..=VERSION {
-            let bytes = img.encode_with_version(v);
-            assert_eq!(bytes.len(), img.encoded_len(v), "version {v}");
-        }
-        // And the dense payload appears verbatim where it always did: the
-        // first region's 16 content bytes follow its u64 length prefix.
-        let bytes = img.encode().to_vec();
-        let needle = [9u8; 16];
-        assert!(
-            bytes.windows(16).any(|w| w == needle),
-            "dense content not serialized contiguously"
-        );
-    }
-
-    #[test]
     fn sizes() {
         let img = sample();
         assert_eq!(img.logical_bytes(), 16 + (1 << 20) + 4096);
@@ -1496,13 +1358,18 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = sample().encode().to_vec();
-        // The version field sits right after the 8-byte magic.
-        bytes[8] = 0xEE;
-        assert!(matches!(
-            CheckpointImage::decode(&bytes),
-            Err(CodecError::BadVersion(_))
-        ));
+        let good = sample().encode().to_vec();
+        // The version field sits right after the 8-byte magic. Retired
+        // layouts and future ones are refused alike.
+        for v in [1, 2, 3, VERSION + 1, 0xEE] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(v));
+            assert_eq!(
+                CheckpointImage::decode(&bytes),
+                Err(CodecError::BadVersion(v)),
+                "version {v}"
+            );
+        }
     }
 
     #[test]

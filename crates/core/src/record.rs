@@ -71,16 +71,13 @@ pub enum LoggedCall {
     /// `MPI_Comm_group(comm) -> result`.
     ///
     /// `members` snapshots the group contents (global job ranks) at record
-    /// time so replay can rebuild the group *locally* — from the world
-    /// group — without needing `comm` to still be bound. This is what lets
-    /// the compactor elide a dead communicator whose group outlived it
-    /// without breaking cross-rank replay consistency. Empty `members`
-    /// marks an entry decoded from a v1 image; replay falls back to
-    /// deriving the group from `comm` and backfills the members.
+    /// time so replay rebuilds the group *locally* — from the world group
+    /// — without the source communicator, which is therefore not
+    /// recorded. This is what lets the compactor elide a dead
+    /// communicator whose group outlived it without breaking cross-rank
+    /// replay consistency.
     CommGroup {
-        /// Source communicator (virtual).
-        comm: u64,
-        /// Group contents as global job ranks (empty for legacy entries).
+        /// Group contents as global job ranks.
         members: Vec<u32>,
         /// Resulting group (virtual).
         result: u64,
@@ -272,7 +269,6 @@ mod tests {
             result: 0x1000_0001,
         });
         let i1 = log.push(LoggedCall::CommGroup {
-            comm: 0x1000_0001,
             members: vec![0, 1],
             result: 0x2000_0000,
         });

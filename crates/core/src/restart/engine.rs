@@ -383,15 +383,8 @@ fn rank_restore(
 
     // Stage 2: rebuild the upper half's memory. The restored content
     // seeds each region's committed dirty-tracking epoch, so the first
-    // post-restart checkpoint copies only pages touched since restart;
-    // the fresh lineage keeps the new incarnation's snapshot epochs from
-    // aliasing the pre-kill generation's in a shared `DeltaStore` family.
+    // post-restart checkpoint copies only pages touched since restart.
     let aspace = Arc::new(AddressSpace::new());
-    aspace.set_lineage(crate::runner::aspace_lineage(
-        img.seed,
-        rank,
-        img.ckpt_id + 1,
-    ));
     for r in &img.regions {
         aspace
             .restore_region(r)
@@ -587,7 +580,7 @@ fn replay_verified(
     let virt = &sh.virt;
     let expect: HashMap<u64, BindSource> = img.rebind.iter().map(|r| (r.virt, r.source)).collect();
     // The world communicator binds first, from the explicit id the image
-    // carries (v1 images derive it at decode time).
+    // carries.
     virt.comm.bind(img.world_virt, lower.comm_world().0);
 
     // Look up an input binding, or report which entry referenced what.
@@ -625,7 +618,6 @@ fn replay_verified(
         }
     };
 
-    let mut backfilled: Option<Vec<LoggedCall>> = None;
     for (idx, entry) in entries.iter().enumerate() {
         match entry {
             LoggedCall::CommDup { parent, result } => {
@@ -687,34 +679,14 @@ fn replay_verified(
                 verify_bind(*result, idx)?;
                 virt.comm.bind(*result, nr.0);
             }
-            LoggedCall::CommGroup {
-                comm,
-                members,
-                result,
-            } => {
-                let rg = if members.is_empty() {
-                    // Legacy (v1-image) entry: derive from the source
-                    // communicator and backfill the members so the next
-                    // checkpoint's compactor sees a local entry.
-                    let rg = lower.comm_group(CommHandle(input("comm", &virt.comm, *comm, idx)?));
-                    let got = lower.group_members(rg);
-                    backfilled.get_or_insert_with(|| entries.to_vec())[idx] =
-                        LoggedCall::CommGroup {
-                            comm: *comm,
-                            members: got,
-                            result: *result,
-                        };
-                    rg
-                } else {
-                    // Groups replay locally: rebuild from the recorded
-                    // membership against the world group (global ranks are
-                    // world-local ranks), so the source communicator need
-                    // not be bound — the compactor relies on this.
-                    let wg = lower.comm_group(lower.comm_world());
-                    let rg = lower.group_incl(wg, members);
-                    lower.group_free(wg);
-                    rg
-                };
+            LoggedCall::CommGroup { members, result } => {
+                // Groups replay locally: rebuild from the recorded
+                // membership against the world group (global ranks are
+                // world-local ranks), so the source communicator need not
+                // be bound — the compactor relies on this.
+                let wg = lower.comm_group(lower.comm_world());
+                let rg = lower.group_incl(wg, members);
+                lower.group_free(wg);
                 verify_bind(*result, idx)?;
                 virt.group.bind(*result, rg.0);
                 sh.groups.lock().insert(*result, lower.group_members(rg));
@@ -782,9 +754,6 @@ fn replay_verified(
                 sh.dtype_base_cache.lock().retain(|_, v| *v != *dtype);
             }
         }
-    }
-    if let Some(corrected) = backfilled {
-        sh.log.load(corrected);
     }
     Ok(entries.len() as u64)
 }

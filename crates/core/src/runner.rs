@@ -149,16 +149,6 @@ pub(crate) fn rank_body_finish(
     }
 }
 
-/// Deterministic dirty-tracking lineage stamp for one rank's address
-/// space: a function of the job seed, the rank, and the incarnation (0
-/// at launch; `restored ckpt_id + 1` after a restart), so re-runs of the
-/// same configuration stamp identical summaries (byte-identical images)
-/// while distinct incarnations never alias each other's snapshot epochs.
-pub(crate) fn aspace_lineage(seed: u64, rank: u32, incarnation: u64) -> u64 {
-    use mana_sim::rng::splitmix64;
-    splitmix64(seed ^ (u64::from(rank) << 32) ^ splitmix64(incarnation))
-}
-
 /// Engine behind `ManaSession::run_native`: run a workload natively (no
 /// MANA) to completion on a fresh simulation. The baseline for every
 /// runtime-overhead figure.
@@ -267,7 +257,6 @@ pub(crate) fn launch_engine(
         let _ = hub;
         sim.spawn(&format!("rank{rank}"), false, move |t| {
             let aspace = Arc::new(AddressSpace::new());
-            aspace.set_lineage(aspace_lineage(spec.seed, rank, 0));
             UpperProgram::typical(&spec.profile)
                 .map_fresh(&aspace, workload.name(), rank, spec.seed)
                 .expect("upper program");

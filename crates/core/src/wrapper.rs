@@ -782,7 +782,6 @@ impl Mpi for ManaMpi {
         // locally — the compactor then need not keep a dead source
         // communicator alive just for its group.
         self.sh.log.push(LoggedCall::CommGroup {
-            comm: comm.0,
             members,
             result: virt,
         });

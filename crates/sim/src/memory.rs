@@ -245,7 +245,6 @@ struct Staged {
     /// live bitmap if the checkpoint aborts (a later snapshot arrives
     /// without an intervening commit).
     dirty_at_snap: Vec<u64>,
-    seq: u64,
 }
 
 /// Per-region dirty/epoch state. Every mutation path sets bits in
@@ -259,7 +258,6 @@ struct Track {
     staged: Option<Staged>,
     /// Frozen content of the last *committed* snapshot epoch.
     committed: Option<DenseSnap>,
-    committed_seq: u64,
 }
 
 impl Track {
@@ -335,6 +333,18 @@ fn bitmap_words(npages: usize) -> usize {
 fn bit_get(bits: &[u64], i: usize) -> bool {
     bits.get(i / BITS)
         .is_some_and(|w| w & (1 << (i % BITS)) != 0)
+}
+
+/// A bitmap with exactly the first `npages` bits set.
+fn full_bitmap(npages: usize) -> Vec<u64> {
+    let mut bits = vec![u64::MAX; bitmap_words(npages)];
+    if let Some(last) = bits.last_mut() {
+        let tail = npages % BITS;
+        if tail != 0 {
+            *last = (1 << tail) - 1;
+        }
+    }
+    bits
 }
 
 fn bit_set(bits: &mut Vec<u64>, i: usize) {
@@ -510,42 +520,31 @@ impl fmt::Debug for DenseSnap {
 
 /// Per-region dirty-page summary emitted alongside a tracked snapshot:
 /// which [`PAGE`]-granular pages were copied (dirty since the committed
-/// base epoch) vs shared. Advisory metadata — consumers
-/// (`CompressingStore`) charge work by its dirty bits. Page digests do
-/// not need it: shared pages carry their own ([`Page::digest`]).
+/// base epoch) vs shared. A snapshot with no usable base marks every page
+/// dirty. Advisory metadata — consumers (`CompressingStore`) charge work
+/// by its dirty bits. Page digests do not need it: shared pages carry
+/// their own ([`Page::digest`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegionDirty {
     /// Start address of the region this summary describes.
     pub start: u64,
-    /// Identity of the address-space incarnation that produced the
-    /// snapshot (stable across deterministic re-runs, distinct across
-    /// restart incarnations).
-    pub lineage: u64,
-    /// Epoch stamp of this snapshot.
-    pub seq: u64,
-    /// Epoch stamp of the committed base the dirty bits diff against;
-    /// `None` means no base existed (every page was copied).
-    pub base_seq: Option<u64>,
     /// Total [`PAGE`]-sized pages in the region.
     pub page_count: u64,
-    /// Dirty bitmap, one bit per page (set = copied). May be shorter than
-    /// `page_count / 64` words; missing words read as clean.
+    /// Dirty bitmap, one bit per page (set = copied), with no bits set
+    /// past `page_count`. May be shorter than `page_count / 64` words;
+    /// missing words read as clean.
     pub pages: Vec<u64>,
 }
 
 impl RegionDirty {
     /// Whether page `i` was dirty (copied) in this snapshot.
     pub fn is_dirty(&self, i: usize) -> bool {
-        self.base_seq.is_none() || bit_get(&self.pages, i)
+        bit_get(&self.pages, i)
     }
 
     /// Number of dirty pages.
     pub fn dirty_pages(&self) -> u64 {
-        if self.base_seq.is_none() {
-            self.page_count
-        } else {
-            self.pages.iter().map(|w| w.count_ones() as u64).sum()
-        }
+        self.pages.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
@@ -584,11 +583,6 @@ struct Inner {
     lower_cursor: u64,
     upper_mmap_cursor: u64,
     brk: Option<BrkState>,
-    /// Monotone snapshot-epoch counter (one tick per tracked snapshot).
-    snap_seq: u64,
-    /// Incarnation identity stamped into dirty summaries (set by the
-    /// runner/restart engine; 0 for bare address spaces).
-    lineage: u64,
 }
 
 /// A simulated process address space, shared between the rank's main thread
@@ -616,8 +610,6 @@ impl AddressSpace {
                 lower_cursor: LOWER_BASE,
                 upper_mmap_cursor: UPPER_MMAP_TOP,
                 brk: None,
-                snap_seq: 0,
-                lineage: 0,
             }),
         }
     }
@@ -1105,9 +1097,6 @@ impl AddressSpace {
     /// against the still-committed base.
     pub fn snapshot_half_tracked(&self, half: Half) -> HalfSnapshot {
         let mut inner = self.inner.lock();
-        inner.snap_seq += 1;
-        let seq = inner.snap_seq;
-        let lineage = inner.lineage;
         let mut out = HalfSnapshot {
             regions: Vec::new(),
             dirty: Vec::new(),
@@ -1132,17 +1121,17 @@ impl AddressSpace {
                     out.stats.clean_pages_shared += npages as u64;
                     out.dirty.push(RegionDirty {
                         start: r.start,
-                        lineage,
-                        seq,
-                        base_seq: base_ok.then_some(r.track.committed_seq),
                         page_count: npages as u64,
-                        pages: vec![0u64; bitmap_words(npages)],
+                        pages: if base_ok {
+                            vec![0u64; bitmap_words(npages)]
+                        } else {
+                            full_bitmap(npages)
+                        },
                     });
                     let rope = rope.clone();
                     r.track.staged = Some(Staged {
                         rope: rope.clone(),
                         dirty_at_snap: std::mem::take(&mut r.track.dirty),
-                        seq,
                     });
                     SnapshotContent::Dense(rope)
                 }
@@ -1185,18 +1174,16 @@ impl AddressSpace {
                         len: bytes.len(),
                         pages,
                     };
+                    // With no base every page was copied, so the bitmap
+                    // is already full.
                     out.dirty.push(RegionDirty {
                         start: r.start,
-                        lineage,
-                        seq,
-                        base_seq: base.as_ref().map(|_| r.track.committed_seq),
                         page_count: npages as u64,
                         pages: copied_bits,
                     });
                     r.track.staged = Some(Staged {
                         rope: rope.clone(),
                         dirty_at_snap: std::mem::take(&mut r.track.dirty),
-                        seq,
                     });
                     SnapshotContent::Dense(rope)
                 }
@@ -1251,21 +1238,8 @@ impl AddressSpace {
         for r in inner.regions.values_mut().filter(|r| r.half == half) {
             if let Some(st) = r.track.staged.take() {
                 r.track.committed = Some(st.rope);
-                r.track.committed_seq = st.seq;
             }
         }
-    }
-
-    /// Stamp the incarnation identity carried by dirty summaries (set by
-    /// the runner at launch and by the restart engine per incarnation;
-    /// defaults to 0 for bare address spaces).
-    pub fn set_lineage(&self, lineage: u64) {
-        self.inner.lock().lineage = lineage;
-    }
-
-    /// The incarnation identity stamped into dirty summaries.
-    pub fn lineage(&self) -> u64 {
-        self.inner.lock().lineage
     }
 
     /// Map a snapshot back in at its original address (restart path).
@@ -1286,11 +1260,7 @@ impl AddressSpace {
         )?;
         if let Some(rope) = committed {
             let r = inner.regions.get_mut(&snap.start).expect("just inserted");
-            // Epoch 0 is reserved for restored content: never assigned by
-            // `snapshot_half_tracked` (which starts at 1), so a restored
-            // base can only match within this incarnation's lineage.
             r.track.committed = Some(rope);
-            r.track.committed_seq = 0;
         }
         Ok(())
     }
@@ -1564,9 +1534,10 @@ mod tests {
         let (d1, d2) = (dense_of(&s1.regions[0]), dense_of(&s2.regions[0]));
         assert!(!d1.shares_page(d2, 3));
         assert!(d1.shares_page(d2, 0) && d1.shares_page(d2, 7));
-        // Summary reflects exactly the copied page.
+        // Summary reflects exactly the copied page; the base-less first
+        // snapshot marked all eight.
+        assert_eq!(s1.dirty[0].dirty_pages(), 8);
         let summary = &s2.dirty[0];
-        assert_eq!(summary.base_seq, Some(s1.dirty[0].seq));
         assert_eq!(summary.dirty_pages(), 1);
         assert!(summary.is_dirty(3) && !summary.is_dirty(0));
         // Content matches a from-scratch copy.
@@ -1658,8 +1629,34 @@ mod tests {
         let s = a.snapshot_half_tracked(Half::Upper);
         // Length changed: the whole (grown) region is copied afresh.
         assert_eq!(s.stats.dirty_pages, 2);
-        assert_eq!(s.dirty[0].base_seq, None);
+        assert_eq!(s.dirty[0].dirty_pages(), 2);
+        assert!(s.dirty[0].is_dirty(0) && s.dirty[0].is_dirty(1));
         assert_eq!(dense_of(&s.regions[0]).len(), 2 * PAGE as usize);
+    }
+
+    #[test]
+    fn no_base_summary_is_a_full_bitmap() {
+        // 70 pages: the second bitmap word is partial and must carry no
+        // bits past the region's end.
+        let a = AddressSpace::new();
+        a.map(
+            Half::Upper,
+            RegionKind::Mmap,
+            "d",
+            70 * PAGE,
+            dense(70 * PAGE as usize),
+        )
+        .unwrap();
+        let s = a.snapshot_half_tracked(Half::Upper);
+        let d = &s.dirty[0];
+        assert_eq!(d.page_count, 70);
+        assert_eq!(d.dirty_pages(), d.page_count);
+        assert_eq!(d.pages, vec![u64::MAX, (1 << 6) - 1]);
+        assert!(d.is_dirty(69) && !d.is_dirty(70));
+        // The frozen-region fill builds the same words.
+        assert_eq!(full_bitmap(70), d.pages);
+        assert_eq!(full_bitmap(64), vec![u64::MAX]);
+        assert!(full_bitmap(0).is_empty());
     }
 
     #[test]
@@ -1686,7 +1683,8 @@ mod tests {
         let s = b.snapshot_half_tracked(Half::Upper);
         assert_eq!(s.stats.dirty_pages, 1);
         assert_eq!(s.stats.clean_pages_shared, 3);
-        assert_eq!(s.dirty[0].base_seq, Some(0), "restored base is epoch 0");
+        assert_eq!(s.dirty[0].dirty_pages(), 1, "restored content is the base");
+        assert!(s.dirty[0].is_dirty(1) && !s.dirty[0].is_dirty(0));
         assert_eq!(b.checksum_half(Half::Upper), {
             a.write_bytes(addr + PAGE, &[8u8; 8]).unwrap();
             a.checksum_half(Half::Upper)
@@ -1729,7 +1727,8 @@ mod tests {
         assert_eq!(s.stats.bytes_copied, 0);
         assert_eq!(s.stats.dirty_pages, 0);
         assert_eq!(s.stats.clean_pages_shared, 3);
-        assert_eq!(s.dirty[0].base_seq, Some(0));
+        assert_eq!(s.dirty[0].dirty_pages(), 0);
+        assert!(!(0..3).any(|i| s.dirty[0].is_dirty(i)));
         let rope = match &s.regions[0].content {
             SnapshotContent::Dense(r) => r,
             _ => unreachable!(),

@@ -327,19 +327,12 @@ impl<S: CheckpointStore> CheckpointStore for CasStore<S> {
         rank: u64,
         shape: IoShape,
     ) -> SimDuration {
-        // Prefer the producer-attached image: pages are digested straight
-        // from the snapshot rope, with no wire decode and no flatten.
-        let attached = data.image().cloned();
-        let img = match (parse_image_path(path), attached) {
-            (Some(_), Some(img)) => (*img).clone(),
-            (Some(_), None) => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(img) => img,
-                // Not a rank image (or not ours to understand): pass through.
-                Err(_) => {
-                    self.state.lock().release(path);
-                    return self.inner.put(path, data, logical_len, rank, shape);
-                }
-            },
+        // Pages are digested straight from the snapshot rope: the
+        // producer-attached image skips the wire decode, and foreign bytes
+        // decode from the scatter with no flatten.
+        let img = match parse_image_path(path).map(|_| CheckpointImage::decode_shared(&data)) {
+            Some(Ok((img, _))) => img,
+            // Not a rank image (or not ours to understand): pass through.
             _ => {
                 self.state.lock().release(path);
                 return self.inner.put(path, data, logical_len, rank, shape);

@@ -18,12 +18,11 @@
 //! any other layer, and is not read again.
 //!
 //! The put path is *dirty-aware*: when the object is a rank image
-//! carrying format-v3 dirty summaries, compress CPU is charged only for
-//! the pages the summaries mark dirty (plus everything not covered by a
-//! summary) — modeling an incremental compressor that reuses the
-//! previous generation's compressed form for unchanged pages. Only the
-//! summaries' dirty bits are read, never their epoch stamps. The charged
-//! write volume is unchanged (every page is still stored).
+//! carrying dirty summaries, compress CPU is charged only for the pages
+//! the summaries mark dirty (plus everything not covered by a summary) —
+//! modeling an incremental compressor that reuses the previous
+//! generation's compressed form for unchanged pages. The charged write
+//! volume is unchanged (every page is still stored).
 
 use mana_core::error::StoreError;
 use mana_core::image::{CheckpointImage, ImageBytes};
@@ -51,7 +50,7 @@ pub struct CompressionConfig {
     /// Seed decorrelating this store's ratio draws from other stores.
     pub seed: u64,
     /// Charge compress CPU only for dirty bytes when the incoming object
-    /// is a rank image with format-v3 dirty summaries (see the module
+    /// is a rank image with dirty summaries (see the module
     /// docs). On by default; switch off to model a stateless compressor
     /// that re-compresses every byte each generation.
     pub dirty_aware: bool,
@@ -122,13 +121,13 @@ impl<S: CheckpointStore> CompressingStore<S> {
         if !self.cfg.dirty_aware {
             return logical_len;
         }
-        // The producer-attached image avoids a wire decode (and the
-        // flatten it would force); only foreign flat bytes decode here.
+        // The producer-attached image avoids a wire decode; foreign bytes
+        // decode straight from the scatter, with no flatten.
         let decoded;
         let img = match data.image() {
             Some(img) => &**img,
-            None => match CheckpointImage::decode(&data.to_vec()) {
-                Ok(img) => {
+            None => match CheckpointImage::decode_shared(data) {
+                Ok((img, _)) => {
                     decoded = img;
                     &decoded
                 }
@@ -314,9 +313,6 @@ mod tests {
                 step_created: Vec::new(),
                 dirty: vec![RegionDirty {
                     start: 0x1000,
-                    lineage: 1,
-                    seq: 2,
-                    base_seq: Some(1),
                     page_count: pages,
                     pages: bitmap,
                 }],

@@ -5,7 +5,9 @@
 
 use mana::apps::{make_app_small, AppKind};
 use mana::chaos::ChaosHarness;
+use mana::core::codec::CodecError;
 use mana::core::config::TopologyKind;
+use mana::core::image::CheckpointImage;
 use mana::core::{Incarnation, JobBuilder, ManaSession, RestartError, SessionError, Workload};
 use mana::sim::cluster::ClusterSpec;
 use mana::sim::fs::IoShape;
@@ -96,6 +98,31 @@ fn truncate_image(
     store.put(&path, torn.into(), len, u64::from(rank), SHAPE);
 }
 
+/// Re-stamp the format version of `rank`'s image of checkpoint
+/// `ckpt_id` — what an image written by a build with another wire layout
+/// looks like to this one.
+fn restamp_version(
+    session: &ManaSession,
+    killed: &Incarnation,
+    ckpt_id: u64,
+    rank: u32,
+    version: u32,
+) {
+    let store = session.store();
+    let path = killed.spec().cfg.image_path(ckpt_id, rank);
+    let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).unwrap();
+    let mut old = bytes.to_vec();
+    // The version field sits right after the 8-byte magic.
+    old[8..12].copy_from_slice(&version.to_le_bytes());
+    assert_eq!(
+        CheckpointImage::decode(&old).map(|_| ()),
+        Err(CodecError::BadVersion(version))
+    );
+    let len = old.len() as u64;
+    store.remove(&path);
+    store.put(&path, old.into(), len, u64::from(rank), SHAPE);
+}
+
 /// Satellite: a torn (truncated) image on a plain `FsStore` — the
 /// newest checkpoint is damaged, so `restart_latest` must skip it and
 /// recover from the previous survivor, reaching the clean checksums.
@@ -108,6 +135,8 @@ fn truncated_image_on_fs_store_restart_skips_to_survivor() {
     truncate_image(&session, &killed, newest, 2, 40);
     // A second flavor of damage on another rank: a zero-length object.
     truncate_image(&session, &killed, newest, 1, 0);
+    // A third: an intact image in a retired format version.
+    restamp_version(&session, &killed, newest, 0, 3);
 
     let resumed = killed
         .restart_latest(JobBuilder::new())

@@ -58,7 +58,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// page-aligned in length), the brk heap, and one pattern region.
 fn build_space() -> (AddressSpace, Vec<(u64, u64)>) {
     let a = AddressSpace::new();
-    a.set_lineage(7);
     let mut regions = Vec::new();
     for (i, len) in [5 * PAGE, 3 * PAGE + 123, PAGE - 1].into_iter().enumerate() {
         let addr = a

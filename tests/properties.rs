@@ -345,28 +345,21 @@ proptest! {
     }
 
     // The zero-copy scatter encoding (shared rope pages, small owned
-    // metadata runs) concatenates to exactly the bytes the historical
-    // flat encoder produces — for every supported format version.
+    // metadata runs) concatenates to exactly the bytes the flat reference
+    // encoder produces, with and without the decoded attachment.
     #[test]
-    fn scatter_encode_is_wire_identical(
-        img in arb_image(),
-        version in mana::core::image::MIN_VERSION..mana::core::image::VERSION + 1,
-    ) {
-        let flat = img.encode_with_version(version);
-        let scatter = img.encode_scatter_with_version(version);
+    fn scatter_encode_is_wire_identical(img in arb_image()) {
+        let flat = img.encode_flat();
+        let scatter = img.encode();
         prop_assert_eq!(scatter.len(), flat.len());
         prop_assert_eq!(scatter.to_vec(), flat.clone());
-        // The default/current-version paths (with and without the decoded
-        // attachment) agree with the flat current-version encoding too.
-        let current = img.encode_with_version(mana::core::image::VERSION);
-        prop_assert_eq!(img.encode().to_vec(), current.clone());
         let shared = CheckpointImage::encode_shared(&std::sync::Arc::new(img.clone()));
         prop_assert!(shared.image().is_some());
-        prop_assert_eq!(shared.to_vec(), current);
+        prop_assert_eq!(shared.to_vec(), flat);
     }
 
     // The read twin of `scatter_encode_is_wire_identical`: for every
-    // supported image version and every store stack, `decode_shared` of
+    // store stack, `decode_shared` of
     // the get-returned scatter agrees exactly with the flat decode of the
     // same bytes — same image, same re-encoding — and the streaming
     // scatter checksum equals the flat digest the restart verifier
@@ -374,7 +367,6 @@ proptest! {
     #[test]
     fn scatter_decode_is_wire_identical(
         img in arb_image(),
-        version in mana::core::image::MIN_VERSION..mana::core::image::VERSION + 1,
         stack in 0usize..6,
     ) {
         use mana::sim::checksum::checksum_bytes;
@@ -395,7 +387,7 @@ proptest! {
             _ => Box::new(JournaledStore::new(InMemStore::new())),
         };
         let shape = IoShape { writers_on_node: 1, total_writers: 1 };
-        let wire = img.encode_with_version(version);
+        let wire = img.encode_flat();
         let path = "prop/ckpt_1/rank_0.mana";
         store.put(path, wire.clone().into(), wire.len() as u64, 0, shape);
         let (got, _) = store.get(path, 0, shape).expect("get back");

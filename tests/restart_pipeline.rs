@@ -1,6 +1,6 @@
 //! End-to-end coverage of the staged restart pipeline: per-stage
 //! reporting, record-log compaction on a churning app, typed replay
-//! divergence (no panics), and backward decode of v1 images.
+//! divergence (no panics).
 
 use mana::apps::CommChurn;
 use mana::core::image::CheckpointImage;
@@ -295,47 +295,4 @@ fn inconsistent_image_contents_are_typed_errors() {
             other.map(|i| i.index())
         ),
     }
-}
-
-#[test]
-fn v1_images_restart_through_the_new_pipeline() {
-    // A checkpoint written in the old format (full log, no rebind map, no
-    // world id, no CommGroup membership) must still restart — the decoder
-    // derives what v1 lacks. Use a mid-compute checkpoint so the
-    // interrupted step has no mid-step creations (v1 cannot carry the
-    // handle ledger).
-    let session = ManaSession::builder()
-        .store(mana::core::InMemStore::new())
-        .build();
-    let app: Arc<dyn Workload> = Arc::new(CommChurn {
-        steps: 4,
-        churn: 4,
-        ..CommChurn::default()
-    });
-    // Land just inside a step's long compute op (frac chosen within the
-    // first op of a step).
-    let (clean, killed) = clean_and_killed(&session, &app, 0.52, false);
-    let ckpt_id = killed.latest_checkpoint().expect("ckpt id");
-    let spec = killed.spec();
-    let store = session.store();
-    for rank in 0..spec.nranks {
-        let path = spec.cfg.image_path(ckpt_id, rank);
-        let (bytes, _) = store.get(&path, u64::from(rank), SHAPE).unwrap();
-        let img = CheckpointImage::decode_shared(&bytes).unwrap().0;
-        assert!(
-            img.step_created.is_empty(),
-            "rank {rank}: pick a frac that lands mid-compute (ledger {:?})",
-            img.step_created
-        );
-        let v1 = img.encode_with_version(1);
-        store.remove(&path);
-        let len = v1.len() as u64;
-        store.put(&path, v1.into(), len, u64::from(rank), SHAPE);
-    }
-    let resumed = killed.restart_on(JobBuilder::new()).unwrap();
-    assert_eq!(
-        clean.checksums(),
-        resumed.checksums(),
-        "v1-image restart diverged"
-    );
 }
