@@ -15,18 +15,21 @@
 //! Part 2 (rank pipeline): N flat-stored rank images are fetched,
 //! decoded and restored serially vs on `mana_sim::pool::ordered_par_map`
 //! — the pool `ManaConfig::restart_workers` drives inside the restart
-//! engine — asserting restored checksums are identical and (on ≥2 CPUs)
-//! that the pipelined restore beats serial by ≥1.5×.
+//! engine. The images are stored before any timed window; each arm runs
+//! once to warm up, then the two arms run in interleaved pairs that
+//! alternate which goes first. The harness asserts every run restores
+//! checksums identical to serial and (on ≥2 CPUs) that the median
+//! per-pair speedup of the pipelined restore is ≥1.5×; medians and IQRs
+//! are printed and written to the JSON.
 //!
 //! Every run writes the machine-readable `BENCH_restart_path.json`.
 //! Run with `--test` for the CI smoke configuration.
 
-use mana_bench::{banner, Scale, Table};
-use mana_core::buffer::PairCounters;
+use mana_bench::{banner, image_around, Scale, Table};
 use mana_core::image::CheckpointImage;
 use mana_core::{CheckpointStore, FsStore, InMemStore};
 use mana_sim::fs::{FsConfig, IoShape};
-use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, HalfSnapshot, RegionKind, PAGE};
+use mana_sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind, PAGE};
 use mana_sim::pool::ordered_par_map;
 use mana_sim::rng::splitmix64;
 use mana_sim::scatter::{reset_shared_flatten_bytes, shared_flatten_bytes};
@@ -34,40 +37,17 @@ use mana_store::{CasConfig, CasStore, DeltaConfig, DeltaStore};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+const APP: &str = "fig-restart-path";
+
+/// Timed serial/pooled pairs in the rank-pipeline comparison.
+const PAIRS: usize = 15;
 
 const SHAPE: IoShape = IoShape {
     writers_on_node: 1,
     total_writers: 1,
 };
-
-fn image_around(ckpt_id: u64, snap: HalfSnapshot) -> CheckpointImage {
-    CheckpointImage {
-        rank: 0,
-        nranks: 1,
-        ckpt_id,
-        app_name: "fig-restart-path".into(),
-        seed: 1,
-        regions: snap.regions,
-        upper_cursor: 0x7f00_0000_0000,
-        comms: Vec::new(),
-        groups: Vec::new(),
-        dtypes: Vec::new(),
-        log: Vec::new(),
-        counters: PairCounters::default(),
-        buffered: Vec::new(),
-        pending: Vec::new(),
-        ops_done: ckpt_id,
-        allocs: Vec::new(),
-        slots: Vec::new(),
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: Vec::new(),
-        step_created: Vec::new(),
-        dirty: snap.dirty,
-    }
-}
 
 /// A primed address space: `nregions` dense regions with derived
 /// contents, every page committed.
@@ -176,9 +156,11 @@ fn rank_wire(rank: u32, nranks: u32, pages: u64) -> Vec<u8> {
         Backing::Dense(buf),
     )
     .expect("map rank region");
-    let mut img = image_around(2, a.snapshot_half_tracked(Half::Upper));
-    img.rank = rank;
-    img.nranks = nranks;
+    let img = CheckpointImage {
+        rank,
+        nranks,
+        ..image_around(APP, 2, a.snapshot_half_tracked(Half::Upper))
+    };
     img.encode().into_vec()
 }
 
@@ -209,12 +191,47 @@ fn restore_ranks(store: &FsStore, nranks: u32, workers: usize) -> Vec<u64> {
     sums
 }
 
+/// Median and interquartile range of a sample, by linear interpolation
+/// between order statistics.
+struct Spread {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let i = p * (xs.len() - 1) as f64;
+            let (lo, hi) = (i.floor() as usize, i.ceil() as usize);
+            xs[lo] + (xs[hi] - xs[lo]) * (i - lo as f64)
+        };
+        Spread {
+            median: q(0.5),
+            q1: q(0.25),
+            q3: q(0.75),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}}}",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
 struct PipelineResult {
     nranks: u32,
     workers: usize,
-    serial: std::time::Duration,
-    pipelined: std::time::Duration,
-    speedup: f64,
+    pairs: usize,
+    /// Serial restore wall time, ms.
+    serial: Spread,
+    /// Pooled restore wall time, ms.
+    pipelined: Spread,
+    /// Per-pair serial / pooled wall-time ratio.
+    speedup: Spread,
     cpus: usize,
 }
 
@@ -231,22 +248,37 @@ fn run_pipeline(nranks: u32, workers: usize, pages: u64) -> PipelineResult {
             SHAPE,
         );
     }
-    let t0 = Instant::now();
-    let serial_sums = restore_ranks(&store, nranks, 1);
-    let serial = t0.elapsed();
-    let t0 = Instant::now();
-    let par_sums = restore_ranks(&store, nranks, workers);
-    let pipelined = t0.elapsed();
-    assert_eq!(
-        serial_sums, par_sums,
-        "pipelined restore diverged from serial"
-    );
+    let timed = |w: usize| -> (Duration, Vec<u64>) {
+        let t0 = Instant::now();
+        let sums = restore_ranks(&store, nranks, w);
+        (t0.elapsed(), sums)
+    };
+    // Warm-up, one run per arm; the serial one is the checksum reference.
+    let (_, reference) = timed(1);
+    let (_, sums) = timed(workers);
+    assert_eq!(sums, reference, "pipelined restore diverged from serial");
+
+    let (mut serial, mut pipelined, mut speedup) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        // Arm 0 is serial, arm 1 pooled; odd pairs run the pooled arm first.
+        let arms = [1, workers];
+        let mut ms = [0.0; 2];
+        for arm in [pair % 2, 1 - pair % 2] {
+            let (wall, sums) = timed(arms[arm]);
+            assert_eq!(sums, reference, "{}-worker restore diverged", arms[arm]);
+            ms[arm] = wall.as_secs_f64() * 1e3;
+        }
+        serial.push(ms[0]);
+        pipelined.push(ms[1]);
+        speedup.push(ms[0] / ms[1].max(1e-9));
+    }
     PipelineResult {
         nranks,
         workers,
-        serial,
-        pipelined,
-        speedup: serial.as_secs_f64() / pipelined.as_secs_f64().max(1e-9),
+        pairs: PAIRS,
+        serial: Spread::of(serial),
+        pipelined: Spread::of(pipelined),
+        speedup: Spread::of(speedup),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
@@ -272,15 +304,16 @@ fn write_json(results: &[RestoreResult], pipe: &PipelineResult, dense_mb: u64) {
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"pipeline\": {{\"ranks\": {}, \"workers\": {}, \"cpus\": {}, \
-         \"serial_ms\": {:.3}, \"pipelined_ms\": {:.3}, \"speedup\": {:.3}, \
+        "  \"pipeline\": {{\"ranks\": {}, \"workers\": {}, \"cpus\": {}, \"pairs\": {}, \
+         \"serial_ms\": {}, \"pipelined_ms\": {}, \"speedup\": {}, \
          \"checksum_identical\": true}}\n}}\n",
         pipe.nranks,
         pipe.workers,
         pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
+        pipe.pairs,
+        pipe.serial.json(),
+        pipe.pipelined.json(),
+        pipe.speedup.json(),
     ));
     std::fs::write("BENCH_restart_path.json", s).expect("write BENCH_restart_path.json");
 }
@@ -309,7 +342,7 @@ fn main() {
     );
 
     let src = build_space(nregions, pages_per_region);
-    let img = Arc::new(image_around(1, src.snapshot_half_tracked(Half::Upper)));
+    let img = Arc::new(image_around(APP, 1, src.snapshot_half_tracked(Half::Upper)));
 
     let mut results = Vec::new();
     let mut table = Table::new(&[
@@ -369,15 +402,24 @@ fn main() {
         .max(2);
     let pipe = run_pipeline(nranks, workers, pipe_pages);
     println!(
-        "\nrank restore pipeline: {} ranks x {} MB, {} workers on {} cpu(s): serial {:.1} ms, \
-         pipelined {:.1} ms ({:.2}x), restored checksums identical",
+        "\nrank restore pipeline: {} ranks x {} MB, {} workers on {} cpu(s), {} interleaved \
+         pairs after one warm-up per arm (median [IQR]): serial {:.1} [{:.1}, {:.1}] ms, \
+         pipelined {:.1} [{:.1}, {:.1}] ms, speedup {:.2}x [{:.2}, {:.2}], restored checksums \
+         identical",
         pipe.nranks,
         (pipe_pages * PAGE) >> 20,
         pipe.workers,
         pipe.cpus,
-        pipe.serial.as_secs_f64() * 1e3,
-        pipe.pipelined.as_secs_f64() * 1e3,
-        pipe.speedup,
+        pipe.pairs,
+        pipe.serial.median,
+        pipe.serial.q1,
+        pipe.serial.q3,
+        pipe.pipelined.median,
+        pipe.pipelined.q1,
+        pipe.pipelined.q3,
+        pipe.speedup.median,
+        pipe.speedup.q1,
+        pipe.speedup.q3,
     );
 
     write_json(&results, &pipe, dense_mb);
@@ -410,15 +452,16 @@ fn main() {
         }
         if pipe.cpus >= 2 {
             assert!(
-                pipe.speedup >= 1.5,
-                "pipelined restore only {:.2}x serial on {} cpus (floor 1.5x)",
-                pipe.speedup,
+                pipe.speedup.median >= 1.5,
+                "pipelined restore only {:.2}x serial (median of {} pairs) on {} cpus (floor 1.5x)",
+                pipe.speedup.median,
+                pipe.pairs,
                 pipe.cpus
             );
         } else {
             println!(
-                "(single cpu: {:.2}x measured, 1.5x floor not applicable)",
-                pipe.speedup
+                "(single cpu: {:.2}x median measured, 1.5x floor not applicable)",
+                pipe.speedup.median
             );
         }
         println!(

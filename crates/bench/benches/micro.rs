@@ -12,11 +12,14 @@
 //!   pages already carry their digests.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use mana_bench::image_around;
 use mana_core::buffer::{BufferedMsg, DrainBuffer};
 use mana_core::image::CheckpointImage;
 use mana_core::virtid::{HandleClass, VirtTable};
 use mana_mpi::{SrcSpec, TagSpec};
-use mana_sim::memory::{DenseSnap, Half, RegionKind, RegionSnapshot, SnapshotContent};
+use mana_sim::memory::{
+    DenseSnap, Half, HalfSnapshot, RegionKind, RegionSnapshot, SnapshotContent,
+};
 
 fn bench_virtid(c: &mut Criterion) {
     let table = VirtTable::new(HandleClass::Comm);
@@ -37,47 +40,36 @@ fn bench_virtid(c: &mut Criterion) {
 }
 
 fn sample_image(dense_kb: usize) -> CheckpointImage {
+    let regions = vec![
+        RegionSnapshot {
+            start: 0x1000,
+            len: (dense_kb * 1024) as u64,
+            half: Half::Upper,
+            kind: RegionKind::Mmap,
+            name: "data".into(),
+            content: SnapshotContent::Dense(DenseSnap::from_vec(vec![7u8; dense_kb * 1024])),
+        },
+        RegionSnapshot {
+            start: 0x100_0000,
+            len: 64 << 20,
+            half: Half::Upper,
+            kind: RegionKind::Text,
+            name: "bulk".into(),
+            content: SnapshotContent::Pattern { seed: 3 },
+        },
+    ];
     CheckpointImage {
-        rank: 0,
         nranks: 8,
-        ckpt_id: 1,
-        app_name: "bench".into(),
-        seed: 1,
-        regions: vec![
-            RegionSnapshot {
-                start: 0x1000,
-                len: (dense_kb * 1024) as u64,
-                half: Half::Upper,
-                kind: RegionKind::Mmap,
-                name: "data".into(),
-                content: SnapshotContent::Dense(DenseSnap::from_vec(vec![7u8; dense_kb * 1024])),
-            },
-            RegionSnapshot {
-                start: 0x100_0000,
-                len: 64 << 20,
-                half: Half::Upper,
-                kind: RegionKind::Text,
-                name: "bulk".into(),
-                content: SnapshotContent::Pattern { seed: 3 },
-            },
-        ],
         upper_cursor: 0,
-        comms: vec![],
-        groups: vec![],
-        dtypes: vec![],
-        log: vec![],
-        counters: Default::default(),
-        buffered: vec![],
-        pending: vec![],
         ops_done: 0,
-        allocs: vec![],
-        slots: vec![],
-        slot_seq: 0,
-        slot_seq_at_step: 0,
-        world_virt: 0,
-        rebind: vec![],
-        step_created: vec![],
-        dirty: vec![],
+        ..image_around(
+            "bench",
+            1,
+            HalfSnapshot {
+                regions,
+                ..HalfSnapshot::default()
+            },
+        )
     }
 }
 

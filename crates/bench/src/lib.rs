@@ -16,9 +16,11 @@
 #![warn(missing_docs)]
 
 use mana_apps::AppKind;
+use mana_core::image::CheckpointImage;
 use mana_core::{CheckpointStore, Incarnation, JobBuilder, ManaSession, TopologyKind};
 use mana_mpi::MpiProfile;
 use mana_sim::cluster::ClusterSpec;
+use mana_sim::memory::HalfSnapshot;
 use mana_sim::time::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -105,6 +107,38 @@ pub fn stored_bytes(store: &dyn CheckpointStore) -> u64 {
         .iter()
         .map(|p| store.logical_len(p).unwrap_or(0))
         .sum()
+}
+
+/// A rank-0-of-1 checkpoint image of `app` holding `snap`'s regions and
+/// dirty summaries, every other field fixed: the fixture the data-path
+/// benches encode, store and restore. Override fields with struct-update
+/// syntax where a bench needs another shape.
+pub fn image_around(app: &str, ckpt_id: u64, snap: HalfSnapshot) -> CheckpointImage {
+    CheckpointImage {
+        rank: 0,
+        nranks: 1,
+        ckpt_id,
+        app_name: app.into(),
+        seed: 1,
+        regions: snap.regions,
+        upper_cursor: 0x7f00_0000_0000,
+        comms: Vec::new(),
+        groups: Vec::new(),
+        dtypes: Vec::new(),
+        log: Vec::new(),
+        counters: Default::default(),
+        buffered: Vec::new(),
+        pending: Vec::new(),
+        ops_done: ckpt_id,
+        allocs: Vec::new(),
+        slots: Vec::new(),
+        slot_seq: 0,
+        slot_seq_at_step: 0,
+        world_virt: 0,
+        rebind: Vec::new(),
+        step_created: Vec::new(),
+        dirty: snap.dirty,
+    }
 }
 
 /// LULESH needs rank counts that factor into a 3-D grid; clamp a generic

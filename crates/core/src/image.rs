@@ -248,7 +248,7 @@ impl CheckpointImage {
     /// the result so image-aware store tiers (delta diffing,
     /// content-addressed dedup, dirty-aware compression) digest pages
     /// straight out of the rope instead of decoding the wire bytes. The
-    /// hot checkpoint path (helper thread, worker pool) uses this.
+    /// checkpoint helper writes every rank image through this.
     pub fn encode_shared(this: &Arc<CheckpointImage>) -> ImageBytes {
         ImageBytes {
             buf: this.encode_scatter(),
@@ -264,7 +264,8 @@ impl CheckpointImage {
 
     /// The reference encoding into one contiguous buffer, every dense
     /// page copied. The store path uses [`CheckpointImage::encode`]; this
-    /// is what tests compare its wire bytes against.
+    /// is what tests compare its wire bytes against, and what stores use
+    /// for region-less metadata images they embed in their own framing.
     pub fn encode_flat(&self) -> Vec<u8> {
         let mut e = Enc::new();
         self.encode_into(&mut e, &self.regions);

@@ -19,8 +19,8 @@
 //! * **cluster presets** for the paper's two machines ([`cluster`]), and
 //! * deterministic randomness and checksum helpers ([`rng`], [`checksum`]),
 //!   and
-//! * the one ordered worker pool the real-concurrency rank pipelines run
-//!   on ([`pool`]).
+//! * the one ordered worker pool the restart rank fetch runs on
+//!   ([`pool`]).
 //!
 //! Everything above this crate (network, MPI, MANA itself, the workloads)
 //! is built from these parts; nothing here knows what MPI is.

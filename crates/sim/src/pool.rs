@@ -1,13 +1,12 @@
 //! One ordered worker pool: map items on OS threads, consume the results
 //! in index order on the calling thread.
 //!
-//! The real-concurrency rank pipelines — checkpoint
-//! build→encode→commit (`mana_core::pipeline::checkpoint_ranks`), the
-//! restart engine's fetch→decode→validate, and the figure benches'
-//! restore — share one shape: per-item work that is independent across
-//! items, followed by a step that must see the items in ascending order
-//! (store commits that evolve store state, "the lowest failing rank wins"
-//! error selection). [`ordered_par_map`] is that shape, written once.
+//! The restart engine's rank fetch (fetch→decode→validate, driven by
+//! `ManaConfig::restart_workers`) and the restore bench that measures it
+//! share one shape: per-item work that is independent across items,
+//! followed by a step that must see the items in ascending order ("the
+//! lowest failing rank wins" error selection). [`ordered_par_map`] is
+//! that shape, written once.
 
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
@@ -61,7 +60,7 @@ impl<T, R> Drop for StopOnDrop<'_, T, R> {
 /// Workers claim items by ascending index, and only while the index is
 /// below `cursor + workers`, where `cursor` is the index `consume` is
 /// waiting for or running on; so at most `workers` results (for the
-/// checkpoint pipeline, encoded images) wait to be reordered.
+/// restart fetch, decoded rank images) wait to be reordered.
 ///
 /// Returns the first `Break` from `consume`; no item is claimed after it,
 /// so `f` never runs for indices at or past `idx + workers`, and results

@@ -197,7 +197,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(CAS_MAGIC);
     e.u32(CAS_VERSION);
-    e.bytes(&m.meta.encode().into_vec());
+    e.bytes(&m.meta.encode_flat());
     e.seq(m.regions.len());
     for r in &m.regions {
         match r {

@@ -13,6 +13,7 @@ use mana::core::image::CheckpointImage;
 use mana::core::{AppEnv, JobBuilder, ManaSession, Workload};
 use mana::mpi::{MpiProfile, ReduceOp};
 use mana::sim::cluster::ClusterSpec;
+use mana::sim::fs::IoShape;
 use mana::sim::memory::{AddressSpace, Backing, DenseBuf, Half, RegionKind, RegionSnapshot, PAGE};
 use mana::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -217,6 +218,68 @@ fn session_counters_attribute_copy_traffic() {
         first.total_bytes_copied()
     );
     assert!(second.total_bytes_copied() > 0, "hot set must still copy");
+}
+
+/// End-to-end: every rank's helper writes its image, and the coordinator
+/// hands back one `RankCkptStats` per rank, in rank order, whose image
+/// sizes are exactly those of the image the store now holds.
+#[test]
+fn ckpt_report_sizes_match_the_stored_images() {
+    let session = ManaSession::new();
+    let app: Arc<dyn Workload> = Arc::new(ColdHot { steps: 10 });
+    let job = || {
+        JobBuilder::new()
+            .cluster(ClusterSpec::local_cluster(2))
+            .ranks(4)
+            .profile(MpiProfile::open_mpi())
+            .seed(9)
+            .ckpt_dir("report-sizes")
+    };
+    let probe = session.run(job(), app.clone()).expect("probe run");
+    let wall = probe.outcome().wall.as_nanos();
+    let aw = probe.outcome().app_wall.as_nanos();
+    let t = |frac: f64| SimTime(wall - aw + (aw as f64 * frac) as u64);
+    let run = session
+        .run(job().checkpoint_at(t(0.4)).checkpoint_at(t(0.8)), app)
+        .expect("two-checkpoint run");
+    let ckpts = run.ckpts();
+    assert_eq!(ckpts.len(), 2);
+
+    let shape = IoShape {
+        writers_on_node: 1,
+        total_writers: 1,
+    };
+    for ckpt in &ckpts {
+        assert_eq!(ckpt.ranks.len(), 4);
+        for (r, stats) in ckpt.ranks.iter().enumerate() {
+            let rank = r as u32;
+            assert_eq!(
+                stats.rank, rank,
+                "ckpt {}: ranks out of order",
+                ckpt.ckpt_id
+            );
+            let path = run.spec().cfg.image_path(ckpt.ckpt_id, rank);
+            let (bytes, _) = session
+                .store()
+                .get(&path, u64::from(rank), shape)
+                .expect("stored image");
+            let (img, _) = CheckpointImage::decode_shared(&bytes).expect("decode stored image");
+            assert_eq!((img.rank, img.ckpt_id), (rank, ckpt.ckpt_id));
+            assert_eq!(
+                stats.image_logical_bytes,
+                img.logical_bytes(),
+                "ckpt {} rank {rank}: logical bytes",
+                ckpt.ckpt_id
+            );
+            assert_eq!(
+                stats.image_dense_bytes,
+                img.dense_bytes(),
+                "ckpt {} rank {rank}: dense bytes",
+                ckpt.ckpt_id
+            );
+            assert!(stats.image_dense_bytes > 0);
+        }
+    }
 }
 
 proptest! {
